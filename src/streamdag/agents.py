@@ -2,11 +2,12 @@
 
 Both agents share one mechanical skeleton: encode the current evidence
 into node embeddings, decode a diagonal-Gaussian policy over (a slice of)
-the action vector, and train with an advantage built from a critic and a
-scalar reward baseline.  They differ in what they encode: the specific
-agent runs batch statistics through an LSTM whose carry persists within a
-system state, the invariant agent projects a summary of the previous
-state's data and conditions on the specific agent's embedding.
+the action vector, draw k actions from it, and train on all k with an
+advantage built from a critic and a scalar reward baseline.  They differ in
+what they encode: the specific agent runs batch statistics through an LSTM
+whose carry persists within a system state, the invariant agent projects a
+summary of the previous state's data and conditions on the specific
+agent's embedding.
 
 All parameter tensors carry a leading worker axis so a factored action
 space (several workers owning contiguous action slices) runs through the
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from .nn import (
+    LOG_2PI,
     GaussianPolicy,
     GCNLayer,
     LSTMCell,
@@ -62,23 +64,42 @@ def batch_stats(x: np.ndarray) -> np.ndarray:
     return np.sign(raw) * np.log1p(np.abs(raw))
 
 
-def summary_stats(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Previous-state summary as a (d, 2) matrix, same squashing as batch_stats."""
-    raw = np.stack([np.asarray(mean, dtype=float), np.asarray(std, dtype=float)], axis=1)
-    return np.sign(raw) * np.log1p(np.abs(raw))
-
-
 @dataclass
 class ActionProposal:
-    """One sampled action plus the taped quantities train_step needs."""
+    """k actions drawn from one policy, and what train_step needs of them."""
 
-    action: np.ndarray            # assembled full action, length d*(d+1)
-    log_prob: Tensor              # (w,) log density of each worker's slice
+    actions: np.ndarray           # (k, d*(d+1)) assembled full actions
+    samples: np.ndarray           # (k, w, 1, max_slice) the same actions per worker slice
+    policy: GaussianPolicy        # taped (w, 1, max_slice) mean and clamped log_std
+    valid_mask: np.ndarray        # (w, 1, max_slice) 1 on each worker's own slice
     predicted_reward: Tensor      # (w,) critic output
-    embedding: Tensor             # (w, d, embed) node embeddings
 
-    def total_log_prob(self) -> float:
-        return float(self.log_prob.data.sum())
+    def weighted_log_prob(self, weights: np.ndarray) -> Tensor:
+        """Taped sum_k weights[k, w] * log p(sample k) of each worker, shape (w,).
+
+        The samples enter only through three moments of D = a - mean:
+        sum_k c, sum_k c * D and sum_k c * D^2.  With shift = mean - mean.data
+        (zero in value, the mean's gradient in the tape),
+        sum_k c * (a_k - mean)^2 = sum c*D^2 - 2 * shift * sum c*D + shift^2 * sum c,
+        and the last term is zero in value and gradient.  So the tape has the
+        policy's shape whatever the number of samples.
+        """
+        c = np.asarray(weights, dtype=float)
+        if c.shape != self.samples.shape[:2]:
+            raise DimensionMismatchError(
+                f"weights of shape {c.shape} do not match {self.samples.shape[:2]} samples"
+            )
+        c = c[:, :, None, None]
+        mean, log_std = self.policy.mean, self.policy.log_std
+        dev = self.samples - mean.data
+        s0 = c.sum(axis=0)
+        s1 = (c * dev).sum(axis=0)
+        s2 = (c * dev * dev).sum(axis=0)
+        shift = mean - mean.data
+        sq = Tensor(s2) - shift * (2.0 * s1)
+        per_dim = (log_std * s0 + sq * (log_std * -2.0).exp() * 0.5
+                   + 0.5 * LOG_2PI * s0)
+        return -(per_dim * self.valid_mask).sum(axis=-1).reshape(len(self.valid_mask))
 
 
 @dataclass
@@ -211,110 +232,73 @@ class Agent:
 
     # -- acting ----------------------------------------------------------------
 
-    def propose(self, z: Tensor, rng: np.random.Generator) -> ActionProposal:
-        """Decode a policy from the embedding, sample, and predict the reward."""
+    def _policy(self, z: Tensor) -> GaussianPolicy:
+        """Decode the (w, 1, max_slice) diagonal-Gaussian policy from the embedding."""
+        flat = z.reshape(self.workers, 1, self.d * self.embed)
+        out = self.dec2(self.dec1(flat).tanh())        # (w, 1, 2 * max_slice)
+        return GaussianPolicy(out.narrow(-1, 0, self.max_slice),
+                              out.narrow(-1, self.max_slice, self.max_slice))
+
+    def propose(self, z: Tensor, rng: np.random.Generator, k: int) -> ActionProposal:
+        """Decode the policy once, draw k actions from it, and predict the reward.
+
+        The k draws take one (k, w, 1, max_slice) normal array, which is the
+        same stream as k draws of one action each.
+        """
+        if k < 1:
+            raise ConfigError(f"propose needs k >= 1 samples, got {k}")
         w = self.workers
-        flat = z.reshape(w, 1, self.d * self.embed)
-        hid = self.dec1(flat).tanh()
-        out = self.dec2(hid)                           # (w, 1, 2 * max_slice)
-        mean = out.narrow(-1, 0, self.max_slice)
-        log_std = out.narrow(-1, self.max_slice, self.max_slice)
-        policy = GaussianPolicy(mean, log_std)
-        eps = rng.standard_normal((w, 1, self.max_slice))
-        action_stack = policy.mean.data + np.exp(policy.log_std.data) * eps
-        log_prob = policy.log_prob(action_stack, valid_mask=self.valid_mask,
-                                   axis=-1).reshape(w)
+        policy = self._policy(z)
+        samples = rng.standard_normal((k, w, 1, self.max_slice))
+        samples *= np.exp(policy.log_std.data)
+        samples += policy.mean.data
         pooled = z.detach().mean(axis=1, keepdims=True)
         pred = self.critic2(self.critic1(pooled).tanh()).reshape(w)
-        action = np.concatenate(
-            [action_stack[k, 0, :size] for k, size in enumerate(self.slice_sizes)]
+        actions = np.concatenate(
+            [samples[:, j, 0, :size] for j, size in enumerate(self.slice_sizes)], axis=1
         )
-        return ActionProposal(action=action, log_prob=log_prob,
-                              predicted_reward=pred, embedding=z)
-
-    def evaluate_log_prob(self, z: Tensor, action: np.ndarray) -> Tensor:
-        """Taped log density of a given assembled action under the current policy."""
-        action = np.asarray(action, dtype=float)
-        expect = sum(self.slice_sizes)
-        if action.shape != (expect,):
-            raise DimensionMismatchError(f"action must have length {expect}")
-        stacked = np.zeros((self.workers, 1, self.max_slice))
-        start = 0
-        for k, size in enumerate(self.slice_sizes):
-            stacked[k, 0, :size] = action[start:start + size]
-            start += size
-        w = self.workers
-        flat = z.reshape(w, 1, self.d * self.embed)
-        hid = self.dec1(flat).tanh()
-        out = self.dec2(hid)
-        policy = GaussianPolicy(out.narrow(-1, 0, self.max_slice),
-                                out.narrow(-1, self.max_slice, self.max_slice))
-        return policy.log_prob(stacked, valid_mask=self.valid_mask, axis=-1).reshape(w)
-
-    def policy_for(self, z: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled (mean, log_std) of the current policy, without sampling."""
-        w = self.workers
-        flat = z.reshape(w, 1, self.d * self.embed)
-        hid = self.dec1(flat).tanh()
-        out = self.dec2(hid)
-        mean = out.narrow(-1, 0, self.max_slice)
-        policy = GaussianPolicy(mean, out.narrow(-1, self.max_slice, self.max_slice))
-
-        def assemble(a: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [a[k, 0, :size] for k, size in enumerate(self.slice_sizes)]
-            )
-
-        return assemble(policy.mean.data), assemble(policy.log_std.data)
+        return ActionProposal(actions=actions, samples=samples, policy=policy,
+                              valid_mask=self.valid_mask, predicted_reward=pred)
 
     # -- learning ----------------------------------------------------------------
 
-    def train_step(self, proposals: list[ActionProposal],
-                   rewards: list[float]) -> TrainStats:
-        """One combined actor/critic update from aligned proposals and rewards.
+    def train_step(self, proposal: ActionProposal, rewards) -> TrainStats:
+        """One combined actor/critic update from a proposal's k actions and rewards.
 
-        advantage = R - (B + R_hat), held constant for the actor term; the
-        critic minimizes the squared TD error (R - (B + R_hat))^2.  Actor
-        and critic parameter sets are disjoint (the critic reads a detached
-        embedding), so the single Adam step below is one step for each.
+        advantage_k = R_k - (B + R_hat), held constant for the actor term,
+        whose loss is the mean over k of -advantage_k * log p(a_k); the
+        critic minimizes the mean squared TD error (R_k - (B + R_hat))^2.
+        Actor and critic parameter sets are disjoint (the critic reads a
+        detached embedding), so the single Adam step below is one step for
+        each.
         """
-        if not proposals:
-            raise InsufficientDataError("train_step needs at least one proposal")
-        if len(proposals) != len(rewards):
-            raise DimensionMismatchError("proposals and rewards must align")
-        inv_n = 1.0 / len(proposals)
-        actor_terms = []
-        critic_terms = []
-        adv_accum = 0.0
-        for prop, r in zip(proposals, rewards):
-            adv = r - (self.baseline + prop.predicted_reward.data)   # (w,) constant
-            actor_terms.append(prop.log_prob * Tensor(-adv))
-            td = Tensor(r - self.baseline) - prop.predicted_reward
-            critic_terms.append(td.square())
-            adv_accum += float(adv.mean())
-        actor_loss = _sum_tensors(actor_terms) * inv_n
-        critic_loss = _sum_tensors(critic_terms) * inv_n
+        rewards = np.asarray(rewards, dtype=float)
+        if rewards.size == 0:
+            raise InsufficientDataError("train_step needs at least one reward")
+        k = len(proposal.actions)
+        if rewards.shape != (k,):
+            raise DimensionMismatchError(
+                f"{rewards.size} rewards do not align with {k} proposed actions"
+            )
+        pred = proposal.predicted_reward
+        adv = rewards[:, None] - (self.baseline + pred.data)          # (k, w) constant
+        actor_loss = proposal.weighted_log_prob(-adv / k)
+        td = Tensor(rewards[:, None] - self.baseline) - pred
+        critic_loss = td.square().mean(axis=0)
         total = actor_loss.sum() + critic_loss.sum()
         self.params.zero_grad()
         total.backward()
         adam_step(self.params, lr=self.lr)
-        mean_reward = float(np.mean(rewards))
+        mean_reward = float(rewards.mean())
         self.baseline = np.array(
             [update_baseline(b, self.gamma, mean_reward) for b in self.baseline]
         )
         return TrainStats(
             actor_loss=float(actor_loss.data.sum()),
             critic_loss=float(critic_loss.data.sum()),
-            mean_advantage=adv_accum * inv_n,
+            mean_advantage=float(adv.mean()),
             baseline=float(self.baseline.mean()),
         )
-
-
-def _sum_tensors(terms: list[Tensor]) -> Tensor:
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
 
 
 def reinit_specific(agent: Agent) -> Agent:

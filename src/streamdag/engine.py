@@ -10,6 +10,11 @@ and emits one estimate per batch.  Three modes share the code path:
 marlin is literally marlin-m with workers=1, which is what makes the
 worker count a pure throughput knob.
 
+The episodes of a learning batch run in updates of EPISODES_PER_UPDATE:
+each agent encodes once, draws that many actions from one decoded policy,
+the fused DAGs are scored, and each agent takes one train_step on all of
+them (batched policy-gradient updates, as in RL-BIC, Zhu et al. 2020).
+
 Every episode is scored on the current state's rows so far: the engine
 keeps one BatchScorer per state, extends its statistics with each learning
 batch and drops it on a state transition.  After the episodes, an ordering
@@ -42,6 +47,10 @@ from .scoring import (
 MODES = ("marlin", "marlin-s", "marlin-m")
 
 _JS_EPS = 1e-3
+
+# Episodes per policy update: each agent encodes once, draws this many
+# actions from one decoded policy and takes one Adam step on all of them.
+EPISODES_PER_UPDATE = 16
 
 
 @dataclass
@@ -90,10 +99,14 @@ class EpisodeRecord:
 
     a_est is the estimate and best_reward the negated BIC of a_est on the
     state's rows so far (on a converged record: up to the state's last
-    learning batch).  a_spec, a_inv and edge_scores (the fused mask logits)
-    come from the batch's best episode, and xi is the similarity between the
-    fused DAGs of the best episodes of this and the state's previous learning
-    batch: 0 on a state's first batch, 1 on a converged record.
+    learning batch).  a_spec, a_inv and edge_scores come from the batch's
+    best episode, and xi is the similarity between the fused DAGs of the
+    best episodes of this and the state's previous learning batch: 0 on a
+    state's first batch, 1 on a converged record.
+
+    edge_scores are the best episode's fused mask logits, not scores of
+    a_est: the estimate mostly comes from the ordering search, so an AUROC
+    over edge_scores rates the policy, not the estimate.
     """
 
     t: int
@@ -215,51 +228,31 @@ class OnlineEngine:
             raise DimensionMismatchError(
                 f"batch {batch.t}/{batch.l} has width {x.shape[-1]}, expected d={self.d}"
             )
+        start = time.perf_counter()
+        transition = self.t is not None and (
+            self.detector.is_transition(batch) or batch.t != self.t)
+        # The scorer is built before any state changes, so a batch it rejects
+        # (too few rows for the state so far) leaves the engine as it was.
+        scorer = (BatchScorer(x, self.cfg.score, base=None if transition else self.state_scorer)
+                  if transition or not self.converged else None)
         if self.t is None:
             self.t = batch.t
-        elif self.detector.is_transition(batch) or batch.t != self.t:
+        elif transition:
             self.on_state_transition(batch.t)
         self.batch_in_state += 1
-        start = time.perf_counter()
 
-        if self.converged:
+        if scorer is None:
             record = self._converged_record(batch, start)
             self._accumulate_stats(x)
             return record
 
-        cfg = self.cfg
-        scorer = BatchScorer(x, cfg.score, base=self.state_scorer)
-        best_neg_bic = -np.inf
-        best = None
-        for _ in range(cfg.episodes_per_batch):
-            z_spec = self.spec.encode_specific(x, self.prev_batch_est)
-            prop_spec = self.spec.propose(z_spec, self._rng_spec)
-            if self.dual:
-                z_inv = self.inv.encode_invariant(self.prev_summary, z_spec,
-                                                  self.prev_batch_est)
-                prop_inv = self.inv.propose(z_inv, self._rng_inv)
-                fused = fuse_actions(prop_spec.action, prop_inv.action, cfg.beta)
-            else:
-                prop_inv = None
-                fused = prop_spec.action
-            a_fused = action_to_dag(fused)
-            a_spec = action_to_dag(prop_spec.action)
-            bic = scorer.score(a_fused)
-            if self.dual:
-                a_inv = action_to_dag(prop_inv.action)
-                dec_s = decouple_specific(a_spec, self.prev_inv_dag, self.prev_state_est)
-                r_spec = reward("specific", bic, dec_s, cfg.score).total
-                dec_i = decouple_invariant(a_inv, self.prev_spec_dag, self.prev_state_est)
-                r_inv = reward("invariant", bic, dec_i, cfg.score).total
-            else:
-                a_inv = None
-                r_spec = -bic
-            self.spec.train_step([prop_spec], [r_spec])
-            if self.dual:
-                self.inv.train_step([prop_inv], [r_inv])
-            if -bic > best_neg_bic:
-                best_neg_bic = -bic
-                best = (a_fused, a_spec, a_inv, fused)
+        self.state_scorer = scorer
+        best_neg_bic, best = -np.inf, None
+        for done in range(0, self.cfg.episodes_per_batch, EPISODES_PER_UPDATE):
+            k = min(EPISODES_PER_UPDATE, self.cfg.episodes_per_batch - done)
+            neg_bic, episode = self._update(x, scorer, k)
+            if neg_bic > best_neg_bic:
+                best_neg_bic, best = neg_bic, episode
         self.spec.commit_carry()
 
         a_best, a_spec_best, a_inv_best, fused_best = best
@@ -273,10 +266,9 @@ class OnlineEngine:
         else:
             order, a_est = episode_order.tolist(), a_best
         self._incumbent = order
-        self.state_scorer = scorer
         xi = (0.0 if self.batch_in_state == 1
               else graph_similarity(self.prev_best_dag, a_best))
-        if xi > cfg.xi_threshold:
+        if xi > self.cfg.xi_threshold:
             self.converged = True
         self.prev_best_dag = a_best
         self.prev_batch_est = a_est.copy()
@@ -286,7 +278,7 @@ class OnlineEngine:
         self._accumulate_stats(x)
         self._last_best_reward = best_neg_bic
         self._last_edge_scores = fused_best[self.d:].reshape(self.d, self.d).copy()
-        wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
+        wall_ms = (time.perf_counter() - start) * 1000.0 if self.cfg.timing else 0.0
         return EpisodeRecord(
             t=batch.t, l=batch.l,
             a_est=a_est.copy(),
@@ -296,6 +288,44 @@ class OnlineEngine:
             xi=xi, wall_ms=wall_ms, converged=self.converged,
             edge_scores=self._last_edge_scores.copy(),
         )
+
+    def _update(self, x: np.ndarray, scorer: BatchScorer, k: int) -> tuple[float, tuple]:
+        """k episodes and one train_step per agent; the best episode's -BIC and
+        (fused DAG, specific DAG, invariant DAG, fused action).
+
+        The update's tapes and samples die with this call, before the
+        ordering search runs.
+        """
+        cfg = self.cfg
+        z_spec = self.spec.encode_specific(x, self.prev_batch_est)
+        prop_spec = self.spec.propose(z_spec, self._rng_spec, k)
+        if self.dual:
+            z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, self.prev_batch_est)
+            prop_inv = self.inv.propose(z_inv, self._rng_inv, k)
+            fused = fuse_actions(prop_spec.actions, prop_inv.actions, cfg.beta)
+        else:
+            fused = prop_spec.actions
+        best_neg_bic, best = -np.inf, None
+        r_spec, r_inv = [], []
+        for i in range(k):
+            a_fused = action_to_dag(fused[i])
+            a_spec = action_to_dag(prop_spec.actions[i])
+            bic = scorer.score(a_fused)
+            if self.dual:
+                a_inv = action_to_dag(prop_inv.actions[i])
+                dec_s = decouple_specific(a_spec, self.prev_inv_dag, self.prev_state_est)
+                r_spec.append(reward("specific", bic, dec_s, cfg.score).total)
+                dec_i = decouple_invariant(a_inv, self.prev_spec_dag, self.prev_state_est)
+                r_inv.append(reward("invariant", bic, dec_i, cfg.score).total)
+            else:
+                a_inv = None
+                r_spec.append(-bic)
+            if -bic > best_neg_bic:
+                best_neg_bic, best = -bic, (a_fused, a_spec, a_inv, fused[i].copy())
+        self.spec.train_step(prop_spec, r_spec)
+        if self.dual:
+            self.inv.train_step(prop_inv, r_inv)
+        return best_neg_bic, best
 
     def _converged_record(self, batch, start: float) -> EpisodeRecord:
         """Early-exit path: no episodes, no scoring, just similarity and a copy."""

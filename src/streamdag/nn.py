@@ -361,11 +361,6 @@ class LSTMCell:
         return h, (h, c)
 
 
-def lstm_step(x: Tensor, hidden: tuple[Tensor, Tensor], cell: LSTMCell):
-    """Standalone LSTM step (sigmoid gates, tanh candidate)."""
-    return cell(x, hidden)
-
-
 def gcn_normalize(adj: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of A+I: D^{-1/2} (A+I) D^{-1/2}."""
     a = np.asarray(adj, dtype=float)
@@ -392,10 +387,6 @@ class GCNLayer:
         raise ValueError(f"unknown activation {activation!r}")
 
 
-def gcn_layer(feats: Tensor, adj: np.ndarray, layer: GCNLayer, activation: str = "tanh") -> Tensor:
-    return layer(feats, gcn_normalize(adj), activation)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian policy
 # ---------------------------------------------------------------------------
@@ -408,13 +399,6 @@ class GaussianPolicy:
         self.mean = mean
         self.log_std = log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
 
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, Tensor]:
-        """Draw a = mean + std*eps and return (a, taped log density at a)."""
-        std = np.exp(self.log_std.data)
-        eps = rng.standard_normal(self.mean.data.shape)
-        action = self.mean.data + std * eps
-        return action, self.log_prob(action)
-
     def log_prob(self, action: np.ndarray, valid_mask: np.ndarray | None = None,
                  axis=None) -> Tensor:
         """Diagonal-Gaussian log density; mask selects which dims count."""
@@ -423,7 +407,3 @@ class GaussianPolicy:
         if valid_mask is not None:
             per_dim = per_dim * Tensor(valid_mask)
         return -per_dim.sum(axis=axis, keepdims=False) if axis is not None else -per_dim.sum()
-
-
-def sample_action(policy: GaussianPolicy, rng: np.random.Generator) -> tuple[np.ndarray, Tensor]:
-    return policy.sample(rng)

@@ -122,6 +122,8 @@ class BatchScorer:
             self._gram += base._gram
             self._xty += base._xty
             self._yty += base._yty
+        # per node: parents.tobytes() -> RSS on these statistics; never taken from base
+        self._rss_memo: list[dict[bytes, float]] = [{} for _ in range(d)]
 
     def _feature_cols(self, parents: np.ndarray) -> list[int]:
         cols = [0] + [1 + int(p) for p in parents]
@@ -132,12 +134,18 @@ class BatchScorer:
         return cols
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
-        cols = self._feature_cols(parents)
-        s_xx = self._gram[np.ix_(cols, cols)]
-        s_xy = self._xty[cols, node]
-        beta = np.linalg.solve(s_xx + self.cfg.ridge_eps * np.eye(len(cols)), s_xy)
-        rss = self._yty[node] - 2.0 * beta @ s_xy + beta @ s_xx @ beta
-        return max(float(rss), 0.0)
+        """Residual sum of squares of node on parents, memoised per scorer."""
+        memo = self._rss_memo[node]
+        key = np.asarray(parents, dtype=np.int64).tobytes()
+        rss = memo.get(key)
+        if rss is None:
+            cols = self._feature_cols(parents)
+            s_xx = self._gram[np.ix_(cols, cols)]
+            s_xy = self._xty[cols, node]
+            beta = np.linalg.solve(s_xx + self.cfg.ridge_eps * np.eye(len(cols)), s_xy)
+            rss = max(float(self._yty[node] - 2.0 * beta @ s_xy + beta @ s_xx @ beta), 0.0)
+            memo[key] = rss
+        return rss
 
     def score(self, adj: np.ndarray) -> float:
         a = np.asarray(adj)

@@ -142,48 +142,109 @@ def test_specific_pipeline_permutation_equivariance():
     np.testing.assert_allclose(out, base[:, perm, :], atol=1e-12)
 
 
+def _assembled(agent, stacked):
+    """Concatenate each worker's slice of a (w, 1, max_slice) array."""
+    return np.concatenate([stacked[k, 0, :size] for k, size in enumerate(agent.slice_sizes)])
+
+
+def _closed_form_density(agent, prop, i):
+    """Per-element Gaussian log density of sample i, assembled like the action."""
+    mean = _assembled(agent, prop.policy.mean.data)
+    var = np.exp(2 * _assembled(agent, prop.policy.log_std.data))
+    return -0.5 * np.log(2 * math.pi * var) - (prop.actions[i] - mean) ** 2 / (2 * var)
+
+
 def test_propose_reproducible_and_consistent():
     agent = make_agent(seed=10)
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
-    p1 = agent.propose(z, np.random.default_rng(42))
-    p2 = agent.propose(z, np.random.default_rng(42))
-    np.testing.assert_array_equal(p1.action, p2.action)
-    assert p1.action.shape == (D * (D + 1),)
+    p1 = agent.propose(z, np.random.default_rng(42), 3)
+    p2 = agent.propose(z, np.random.default_rng(42), 3)
+    np.testing.assert_array_equal(p1.actions, p2.actions)
+    assert p1.actions.shape == (3, D * (D + 1))
     assert np.isfinite(p1.predicted_reward.data).all()
-    # log_prob agrees with the closed-form density at the sampled action
-    mean, log_std = agent.policy_for(z)
-    var = np.exp(2 * log_std)
-    want = float(np.sum(-0.5 * np.log(2 * math.pi * var)
-                        - (p1.action - mean) ** 2 / (2 * var)))
-    assert p1.total_log_prob() == pytest.approx(want, abs=1e-10)
+    # the taped log density agrees with the closed form at each sampled action
+    for i in range(3):
+        one_hot = np.eye(3)[:, [i]]
+        got = float(p1.weighted_log_prob(one_hot).data.sum())
+        assert got == pytest.approx(float(_closed_form_density(agent, p1, i).sum()), abs=1e-10)
+    with pytest.raises(ConfigError):
+        agent.propose(z, np.random.default_rng(42), 0)
 
 
 def test_propose_stacked_workers_assembles_full_action():
     agent = make_agent(workers=3, seed=12)
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
-    prop = agent.propose(z, np.random.default_rng(0))
-    assert prop.action.shape == (D * (D + 1),)
-    assert prop.log_prob.data.shape == (3,)
+    prop = agent.propose(z, np.random.default_rng(0), 2)
+    assert prop.actions.shape == (2, D * (D + 1))
+    assert prop.samples.shape == (2, 3, 1, agent.max_slice)
     assert prop.predicted_reward.data.shape == (3,)
     # per-worker log densities also match closed form on each slice
-    mean, log_std = agent.policy_for(z)
-    var = np.exp(2 * log_std)
-    dens = -0.5 * np.log(2 * math.pi * var) - (prop.action - mean) ** 2 / (2 * var)
-    sizes = agent.slice_sizes
-    start = 0
-    for k, size in enumerate(sizes):
-        want = float(dens[start:start + size].sum())
-        assert float(prop.log_prob.data[k]) == pytest.approx(want, abs=1e-10)
-        start += size
+    for i in range(2):
+        got = prop.weighted_log_prob(np.eye(2)[:, [i]] * np.ones(3)).data
+        assert got.shape == (3,)
+        dens = _closed_form_density(agent, prop, i)
+        start = 0
+        for k, size in enumerate(agent.slice_sizes):
+            want = float(dens[start:start + size].sum())
+            assert float(got[k]) == pytest.approx(want, abs=1e-10)
+            start += size
+
+
+def test_propose_k_samples_equal_k_single_draws():
+    for workers in (1, 3):
+        agent = make_agent(workers=workers, seed=16)
+        z = agent.encode_specific(make_batch(), np.zeros((D, D)))
+        stacked = agent.propose(z, np.random.default_rng(5), 6)
+        rng = np.random.default_rng(5)
+        single = [agent.propose(z, rng, 1).actions[0] for _ in range(6)]
+        np.testing.assert_array_equal(stacked.actions, np.array(single))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_moment_actor_loss_matches_per_sample_log_prob(workers):
+    """Sum_k c_k log p(a_k) from three moments equals the per-sample tape."""
+    k = 5
+    x = make_batch(seed=17)
+    weights = np.random.default_rng(18).standard_normal((k, workers)) * 30.0
+
+    def forward():
+        # non-leaf tensors keep .grad, so each loss gets its own forward pass
+        agent = make_agent(workers=workers, seed=19)
+        z = agent.encode_specific(x, np.zeros((D, D)))
+        return agent, agent.propose(z, np.random.default_rng(20), k)
+
+    def grads(agent, loss):
+        agent.params.zero_grad()
+        loss.sum().backward()
+        return {name: p.grad for name, p in agent.params.params.items() if p.grad is not None}
+
+    agent, prop = forward()
+    moment = prop.weighted_log_prob(weights)
+    g_moment = grads(agent, moment)
+
+    agent, prop = forward()
+    terms = [prop.policy.log_prob(prop.samples[i], valid_mask=prop.valid_mask,
+                                  axis=-1).reshape(workers) * weights[i] for i in range(k)]
+    per_sample = terms[0]
+    for term in terms[1:]:
+        per_sample = per_sample + term
+    g_sample = grads(agent, per_sample)
+
+    np.testing.assert_allclose(moment.data, per_sample.data, rtol=1e-12)
+    assert set(g_moment) == set(g_sample)
+    assert "dec2.w" in g_moment and "proj.w" in g_moment
+    for name, g in g_sample.items():
+        np.testing.assert_allclose(g_moment[name], g, rtol=1e-9,
+                                   atol=1e-12 * np.abs(g).max())
 
 
 def test_zero_advantage_leaves_parameters_unchanged():
     agent = make_agent(seed=13)
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
-    prop = agent.propose(z, np.random.default_rng(1))
+    prop = agent.propose(z, np.random.default_rng(1), 4)
     reward = float(prop.predicted_reward.data[0])  # baseline is 0 -> advantage 0
     before = {k: t.data.copy() for k, t in agent.params.params.items()}
-    stats = agent.train_step([prop], [reward])
+    stats = agent.train_step(prop, [reward] * 4)
     assert stats.mean_advantage == 0.0
     assert stats.critic_loss == 0.0
     for k, t in agent.params.params.items():
@@ -193,46 +254,47 @@ def test_zero_advantage_leaves_parameters_unchanged():
 def test_train_step_moves_parameters_and_baseline():
     agent = make_agent(seed=14)
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
-    prop = agent.propose(z, np.random.default_rng(2))
-    stats = agent.train_step([prop], [5.0])
+    prop = agent.propose(z, np.random.default_rng(2), 2)
+    stats = agent.train_step(prop, [4.0, 6.0])
     assert agent.baseline[0] == pytest.approx(update_baseline(0.0, 0.99, 5.0))
     assert stats.critic_loss > 0.0
 
 
 def test_train_step_rejects_empty_and_misaligned():
     agent = make_agent(seed=15)
-    with pytest.raises(InsufficientDataError):
-        agent.train_step([], [])
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
-    prop = agent.propose(z, np.random.default_rng(3))
+    prop = agent.propose(z, np.random.default_rng(3), 1)
+    with pytest.raises(InsufficientDataError):
+        agent.train_step(prop, [])
     with pytest.raises(DimensionMismatchError):
-        agent.train_step([prop], [1.0, 2.0])
+        agent.train_step(prop, [1.0, 2.0])
 
 
 def test_actor_gradient_matches_finite_differences():
-    """FD check of d(-log_prob * adv)/d(decoder weights) on a 2-node toy."""
+    """FD check of train_step's actor gradient in the decoder weights on a 2-node toy."""
     x = make_batch(seed=20, n=25, d=2)
     prev = np.zeros((2, 2), dtype=np.int8)
-    adv = 1.7
-    action = np.random.default_rng(21).standard_normal(2 * 3)
+    rewards = np.array([1.7, -0.4, 0.9])
+    k = len(rewards)
 
     def fresh():
         return Agent("specific", d=2, workers=1, embed=4, hidden=4,
                      lr=0.01, gamma=0.99, seed_seq=np.random.SeedSequence(22))
 
     agent = fresh()
-    z = agent.encode_specific(x, prev)
-    loss = agent.evaluate_log_prob(z, action).sum() * (-adv)
-    agent.params.zero_grad()
-    loss.backward()
-    got = agent.dec2.w.grad.copy()
+    prop = agent.propose(agent.encode_specific(x, prev), np.random.default_rng(21), k)
+    adv = rewards - prop.predicted_reward.data[0]             # the baseline starts at 0
+    agent.train_step(prop, rewards)
+    got = agent.dec2.w.grad.copy()                            # dec2 feeds the actor only
 
     probe = fresh()
 
     def objective(wdata: np.ndarray) -> float:
         probe.dec2.w.data = wdata
         zz = probe.encode_specific(x, prev)
-        return float((probe.evaluate_log_prob(zz, action).sum() * (-adv)).data)
+        policy = probe.propose(zz, np.random.default_rng(0), 1).policy
+        return float(sum(policy.log_prob(prop.samples[i]).data * (-adv[i] / k)
+                         for i in range(k)))
 
     fd = finite_diff_grad(objective, probe.dec2.w.data.copy(), step=1e-5)
     np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-8)
@@ -247,8 +309,8 @@ def test_reinit_guard_and_determinism():
     b = make_agent("specific", seed=31)
     # drive one agent's parameters away before reinit
     z = a.encode_specific(make_batch(), np.zeros((D, D)))
-    prop = a.propose(z, np.random.default_rng(4))
-    a.train_step([prop], [3.0])
+    prop = a.propose(z, np.random.default_rng(4), 1)
+    a.train_step(prop, [3.0])
     a.commit_carry()
     reinit_specific(a)
     reinit_specific(b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamdag.engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
-from streamdag.errors import ConfigError, DimensionMismatchError
+from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.io import StreamBatch
 from streamdag.scoring import ScoreConfig, bic_score
 
@@ -250,6 +250,27 @@ def test_transition_bookkeeping():
     assert recs[3].best_reward == pytest.approx(-bic_score(recs[3].a_est, state2, cfg), rel=1e-9)
     eng.on_state_transition(3)
     assert eng.state_scorer is None
+
+
+def test_short_first_batch_of_a_state_leaves_the_engine_unchanged():
+    d = 10
+    rng = np.random.default_rng(14)
+    eng = OnlineEngine(d=d, cfg=OnlineConfig(episodes_per_batch=2, seed=0))
+    eng.process_batch(StreamBatch(t=1, l=1, transition=False, x=rng.standard_normal((50, d))))
+    scorer = eng.state_scorer
+    agents = [eng.spec, eng.inv]
+    params = [{k: p.data.copy() for k, p in a.params.params.items()} for a in agents]
+    short = StreamBatch(t=2, l=1, transition=True, x=rng.standard_normal((5, d)))
+    with pytest.raises(InsufficientDataError):
+        eng.process_batch(short)
+    assert (eng.t, eng.batch_in_state, eng._stat_count) == (1, 1, 50)
+    assert eng.state_scorer is scorer
+    for agent, before in zip(agents, params):
+        for k, p in agent.params.params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+    # within a state the rows so far count, so the same rows extend state 1
+    rec = eng.process_batch(StreamBatch(t=1, l=2, transition=False, x=short.x))
+    assert eng.state_scorer.n == 55 and is_acyclic_dfs(rec.a_est)
 
 
 def test_transition_detected_from_state_index_without_flag():

@@ -188,14 +188,6 @@ def test_policy_log_std_clamped():
     assert pol.log_std.data.tolist() == [-5.0, 2.0]
 
 
-def test_policy_sample_reproducible():
-    rng = np.random.default_rng(3)
-    pol = GaussianPolicy(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-    a1, _ = pol.sample(np.random.default_rng(3))
-    a2, _ = pol.sample(np.random.default_rng(3))
-    np.testing.assert_array_equal(a1, a2)
-
-
 def test_critic_mlp_grad_check():
     """Two-layer MLP value head: tanh hidden, scalar output."""
     x = np.linspace(-1, 1, 8).reshape(2, 4)

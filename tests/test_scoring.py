@@ -82,14 +82,25 @@ def test_scorer_extends_its_base_with_a_batch():
     for backend in BACKENDS:
         cfg = ScoreConfig(backend=backend)
         blocks = [rng.standard_normal((n, 4)) for n in (12, 3, 20)]
+        probes = [random_dag(4, 0.5, rng) for _ in range(5)]
         scorer = None
         for block in blocks:
+            if scorer is not None:
+                for probe in probes:          # warm the base's node_rss memo
+                    scorer.score(probe)
             scorer = BatchScorer(block, cfg, base=scorer)
         assert scorer.n == 35
         whole = BatchScorer(np.concatenate(blocks), cfg)
-        for _ in range(5):
-            probe = random_dag(4, 0.5, rng)
+        for probe in probes:
             assert scorer.score(probe) == pytest.approx(whole.score(probe), rel=1e-9)
+        # a warmed memo returns what a fresh scorer on the same rows computes
+        fresh = BatchScorer(np.concatenate(blocks), cfg)
+        for probe in probes:
+            assert whole.score(probe) == fresh.score(probe)
+            for j in range(4):
+                parents = np.flatnonzero(probe[:, j])
+                assert whole.node_rss(j, parents) == BatchScorer(
+                    np.concatenate(blocks), cfg).node_rss(j, parents)
     # a short batch counts the base's rows towards the minimum
     BatchScorer(rng.standard_normal((2, 4)), ScoreConfig(), base=BatchScorer(
         rng.standard_normal((6, 4)), ScoreConfig()))
