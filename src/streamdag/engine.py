@@ -246,10 +246,11 @@ class OnlineEngine:
             self._accumulate_stats(x)
             return record
 
+        cfg = self.cfg
         self.state_scorer = scorer
         best_neg_bic, best = -np.inf, None
-        for done in range(0, self.cfg.episodes_per_batch, EPISODES_PER_UPDATE):
-            k = min(EPISODES_PER_UPDATE, self.cfg.episodes_per_batch - done)
+        for done in range(0, cfg.episodes_per_batch, EPISODES_PER_UPDATE):
+            k = min(EPISODES_PER_UPDATE, cfg.episodes_per_batch - done)
             neg_bic, episode = self._update(x, scorer, k)
             if neg_bic > best_neg_bic:
                 best_neg_bic, best = neg_bic, episode
@@ -268,7 +269,7 @@ class OnlineEngine:
         self._incumbent = order
         xi = (0.0 if self.batch_in_state == 1
               else graph_similarity(self.prev_best_dag, a_best))
-        if xi > self.cfg.xi_threshold:
+        if xi > cfg.xi_threshold:
             self.converged = True
         self.prev_best_dag = a_best
         self.prev_batch_est = a_est.copy()
@@ -278,7 +279,7 @@ class OnlineEngine:
         self._accumulate_stats(x)
         self._last_best_reward = best_neg_bic
         self._last_edge_scores = fused_best[self.d:].reshape(self.d, self.d).copy()
-        wall_ms = (time.perf_counter() - start) * 1000.0 if self.cfg.timing else 0.0
+        wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
         return EpisodeRecord(
             t=batch.t, l=batch.l,
             a_est=a_est.copy(),
