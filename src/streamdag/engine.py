@@ -12,8 +12,9 @@ worker count a pure throughput knob.
 
 The episodes of a learning batch run in updates of EPISODES_PER_UPDATE:
 each agent encodes once, draws that many actions from one decoded policy,
-the fused DAGs are scored, and each agent takes one train_step on all of
-them (batched policy-gradient updates, as in RL-BIC, Zhu et al. 2020).
+the fused DAGs are mapped and scored as one stack (BatchScorer.score_many),
+and each agent takes one train_step on all of them (batched policy-gradient
+updates, as in RL-BIC, Zhu et al. 2020).
 
 Every episode is scored on the current state's rows so far: the engine
 keeps one BatchScorer per state, extends its statistics with each learning
@@ -306,31 +307,29 @@ class OnlineEngine:
             fused = fuse_actions(prop_spec.actions, prop_inv.actions, cfg.beta)
         else:
             fused = prop_spec.actions
-        best_neg_bic, best = -np.inf, None
-        r_spec, r_inv = [], []
-        for i in range(k):
-            a_fused = action_to_dag(fused[i])
-            a_spec = action_to_dag(prop_spec.actions[i])
-            bic = scorer.score(a_fused)
-            if self.dual:
-                a_inv = action_to_dag(prop_inv.actions[i])
-                dec_s = decouple_specific(a_spec, self.prev_inv_dag, self.prev_state_est)
-                r_spec.append(reward("specific", bic, dec_s, cfg.score).total)
-                dec_i = decouple_invariant(a_inv, self.prev_spec_dag, self.prev_state_est)
-                r_inv.append(reward("invariant", bic, dec_i, cfg.score).total)
-            else:
-                a_inv = None
-                r_spec.append(-bic)
-            if -bic > best_neg_bic:
-                best_neg_bic, best = -bic, (a_fused, a_spec, a_inv, fused[i].copy())
+        a_fused = action_to_dag(fused)
+        bic = scorer.score_many(a_fused)
+        if self.dual:
+            a_spec = action_to_dag(prop_spec.actions)
+            a_inv = action_to_dag(prop_inv.actions)
+            dec_s = decouple_specific(a_spec, self.prev_inv_dag, self.prev_state_est)
+            r_spec = reward("specific", bic, dec_s, cfg.score).total
+            dec_i = decouple_invariant(a_inv, self.prev_spec_dag, self.prev_state_est)
+            r_inv = reward("invariant", bic, dec_i, cfg.score).total
+        else:
+            a_spec, a_inv = a_fused, None
+            r_spec = -bic
+        i = int(np.argmin(bic))
+        best = (a_fused[i].copy(), a_spec[i].copy(),
+                None if a_inv is None else a_inv[i].copy(), fused[i].copy())
         self.spec.train_step(prop_spec, r_spec)
         if self.dual:
             self.inv.train_step(prop_inv, r_inv)
-        return best_neg_bic, best
+        return -float(bic[i]), best
 
     def _converged_record(self, batch, start: float) -> EpisodeRecord:
-        """Early-exit path: no episodes, no scoring, just similarity and a copy."""
-        xi = graph_similarity(self.prev_batch_est, self.prev_batch_est)
+        """Early-exit path: no episodes, no scoring, just a copy; xi is 1, the
+        similarity of the estimate it repeats with itself."""
         wall_ms = (time.perf_counter() - start) * 1000.0 if self.cfg.timing else 0.0
         return EpisodeRecord(
             t=batch.t, l=batch.l,
@@ -338,7 +337,7 @@ class OnlineEngine:
             a_spec=self.prev_spec_dag.copy(),
             a_inv=self.prev_inv_dag.copy() if self.dual else None,
             best_reward=self._last_best_reward,
-            xi=xi, wall_ms=wall_ms, converged=True,
+            xi=1.0, wall_ms=wall_ms, converged=True,
             edge_scores=(None if self._last_edge_scores is None
                          else self._last_edge_scores.copy()),
         )

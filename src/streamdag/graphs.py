@@ -34,11 +34,13 @@ def nodes_from_action_dim(length: int) -> int:
 
 
 def validate_action(a: np.ndarray) -> int:
-    """Check shape/finiteness of an action vector; returns the node count."""
+    """Check shape/finiteness of an action vector or a (k, length) stack of
+    them; returns the node count."""
     a = np.asarray(a)
-    if a.ndim != 1:
-        raise InvalidActionError(f"action must be a 1-d vector, got shape {a.shape}")
-    d = nodes_from_action_dim(a.shape[0])
+    if a.ndim not in (1, 2):
+        raise InvalidActionError(
+            f"action must be a vector or a stack of vectors, got shape {a.shape}")
+    d = nodes_from_action_dim(a.shape[-1])
     if not np.all(np.isfinite(a)):
         raise InvalidActionError("action contains non-finite entries")
     return d
@@ -49,17 +51,15 @@ def action_to_dag(a: np.ndarray) -> np.ndarray:
 
     The first d entries h define the ordering matrix H (H[i,j] = 1 iff
     h[i] > h[j]; ties drop both directions), the remaining d^2 entries are
-    mask logits thresholded at 0.  Returns H * S elementwise.
+    mask logits thresholded at 0.  Returns H * S elementwise.  A (k, d(d+1))
+    stack of actions maps to a (k, d, d) stack of DAGs.
     """
     a = np.asarray(a, dtype=float)
     d = validate_action(a)
-    h = a[:d]
-    logits = a[d:].reshape(d, d)
-    order = h[:, None] > h[None, :]
-    mask = logits > 0.0
-    adj = (order & mask).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    return adj
+    h = a[..., :d]
+    logits = a[..., d:].reshape(a.shape[:-1] + (d, d))
+    order = h[..., :, None] > h[..., None, :]      # strict, so the diagonal is 0
+    return (order & (logits > 0.0)).astype(np.int8)
 
 
 def is_acyclic(adj: np.ndarray) -> bool:

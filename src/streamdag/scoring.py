@@ -10,6 +10,9 @@ better; the engine negates it into a reward.  The quadratic backend adds
 squares and pairwise products of the parents to the regressors.  A
 BatchScorer holds the Gram matrix of those rows, so it scores any DAG in
 O(d) small solves, and a batch's scorer extends the state's earlier one.
+The node regressions are memoised per scorer; BatchScorer.score_many scores
+the k DAGs of a policy update in one call, with one stacked solve per
+parent count for the regressions it has not seen.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
@@ -66,9 +69,9 @@ class ScoreConfig:
 
 @dataclass
 class RewardBreakdown:
-    bic: float
-    decouple: float
-    total: float
+    bic: float | np.ndarray
+    decouple: float | np.ndarray
+    total: float | np.ndarray
 
 
 class BatchScorer:
@@ -76,10 +79,14 @@ class BatchScorer:
 
     The design matrix is [intercept | X | quadratic features]; per node we
     solve ridge-regularized normal equations on the sub-block selected by
-    its parent set.  Passing ``base`` (the scorer of the same state's
-    earlier rows) adds its statistics to this batch's, so the scorer then
-    scores against every row of the state seen so far.  ordering_search
-    looks for a low-scoring DAG on the same statistics.
+    its parent set.  The statistics are taken about an origin, the column
+    means of the state's first batch, which the intercept absorbs exactly:
+    columns whose means dwarf their spread keep their fit.  Passing
+    ``base`` (the scorer of the same state's earlier rows) adds its
+    statistics to this batch's, so the scorer then scores against every
+    row of the state seen so far.  score_many scores a stack of DAGs in one
+    call; ordering_search looks for a low-scoring DAG on the same
+    statistics.
     """
 
     def __init__(self, x: np.ndarray, cfg: ScoreConfig, base: "BatchScorer | None" = None):
@@ -99,21 +106,17 @@ class BatchScorer:
         self.cfg = cfg
         self.n = n
         self.d = d
-        rows = x.shape[0]
-        cols = [np.ones((rows, 1)), x]
-        # feature column index: 0 intercept, 1..d linear, then squares, then pairs
-        self._square_col = {}
-        self._pair_col = {}
+        self._origin = x.mean(axis=0) if base is None else base._origin
+        x = x - self._origin
+        cols = [np.ones((x.shape[0], 1)), x]
+        # feature column index: 0 intercept, 1..d linear, then squares, then
+        # pairs; _pair_col[i, j] (i < j) is the column of x_i * x_j
+        self._pair_col = np.zeros((d, d), dtype=np.int64)
         if cfg.backend == "quadratic":
-            for i in range(d):
-                self._square_col[i] = 1 + d + i
-                cols.append((x[:, i] ** 2)[:, None])
-            k = 1 + 2 * d
-            for i in range(d):
-                for j in range(i + 1, d):
-                    self._pair_col[(i, j)] = k
-                    k += 1
-                    cols.append((x[:, i] * x[:, j])[:, None])
+            cols.append(x * x)
+            i, j = np.triu_indices(d, 1)
+            self._pair_col[i, j] = 1 + 2 * d + np.arange(i.size)
+            cols.append(x[:, i] * x[:, j])
         phi = np.concatenate(cols, axis=1)
         self._gram = phi.T @ phi
         self._xty = phi.T @ x  # cross terms against every target column
@@ -122,30 +125,58 @@ class BatchScorer:
             self._gram += base._gram
             self._xty += base._xty
             self._yty += base._yty
-        # per node: parents.tobytes() -> RSS on these statistics; never taken from base
-        self._rss_memo: list[dict[bytes, float]] = [{} for _ in range(d)]
-
-    def _feature_cols(self, parents: np.ndarray) -> list[int]:
-        cols = [0] + [1 + int(p) for p in parents]
-        if self.cfg.backend == "quadratic":
-            ps = [int(p) for p in parents]
-            cols += [self._square_col[p] for p in ps]
-            cols += [self._pair_col[(a, b)] for ai, a in enumerate(ps) for b in ps[ai + 1:]]
-        return cols
+        # node + d * parent bitmask -> RSS on these statistics; never taken from base
+        self._rss_memo: dict[int, float] = {}
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
         """Residual sum of squares of node on parents, memoised per scorer."""
-        memo = self._rss_memo[node]
-        key = np.asarray(parents, dtype=np.int64).tobytes()
-        rss = memo.get(key)
+        ordered = sorted(set(np.asarray(parents).tolist()))
+        key = node + self.d * sum(1 << p for p in ordered)
+        rss = self._rss_memo.get(key)
         if rss is None:
-            cols = self._feature_cols(parents)
-            s_xx = self._gram[np.ix_(cols, cols)]
-            s_xy = self._xty[cols, node]
-            beta = np.linalg.solve(s_xx + self.cfg.ridge_eps * np.eye(len(cols)), s_xy)
-            rss = max(float(self._yty[node] - 2.0 * beta @ s_xy + beta @ s_xx @ beta), 0.0)
-            memo[key] = rss
+            rss = float(self._solve(np.array([node]), np.array([ordered], dtype=np.int64))[0])
+            self._rss_memo[key] = rss
         return rss
+
+    def _rss(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """RSS of each node on the parents in its bitmask, through the memo.
+
+        The distinct misses are solved in one stacked solve per parent count.
+        """
+        d = self.d
+        memo = self._rss_memo
+        keys = nodes + d * masks
+        uniq = np.sort(keys)          # np.unique's first call maps megabytes of code
+        uniq = uniq[np.diff(uniq, prepend=-1) != 0]
+        rss = np.array([memo.get(key, -1.0) for key in uniq.tolist()])   # -1: not seen
+        miss = np.flatnonzero(rss < 0.0)
+        if miss.size:
+            held = ((uniq[miss, None] // d >> np.arange(d)) & 1).astype(bool)
+            count = held.sum(axis=1)
+            by_count = np.argsort(count, kind="stable")
+            for group in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
+                parents = np.nonzero(held[group])[1].reshape(group.size, count[group[0]])
+                rss[miss[group]] = self._solve(uniq[miss[group]] % d, parents)
+            memo.update(zip(uniq[miss].tolist(), rss[miss].tolist()))
+        return rss[np.searchsorted(uniq, keys)]
+
+    def _solve(self, nodes: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """RSS of each node on its row of ``parents`` (q rows of p ascending nodes)."""
+        d = self.d
+        q, p = parents.shape
+        cols = [np.zeros((q, 1), dtype=np.int64), 1 + parents]
+        if self.cfg.backend == "quadratic":
+            i, j = np.triu_indices(p, 1)
+            cols += [1 + d + parents, self._pair_col[parents[:, i], parents[:, j]]]
+        cols = np.concatenate(cols, axis=1)
+        f = cols.shape[1]
+        s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
+        s_xx.reshape(q, f * f)[:, ::f + 1] += self.cfg.ridge_eps      # the diagonals
+        s_xy = self._xty[cols, nodes[:, None]]
+        beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
+        # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
+        rss = self._yty[nodes] - (beta * (s_xy + self.cfg.ridge_eps * beta)).sum(axis=1)
+        return np.maximum(rss, 0.0)
 
     def score(self, adj: np.ndarray) -> float:
         a = np.asarray(adj)
@@ -160,6 +191,23 @@ class BatchScorer:
             total += n * np.log(max(rss / n, _RSS_FLOOR))
         total += int(a.sum()) * np.log(n)
         return float(total)
+
+    def score_many(self, adjs: np.ndarray) -> np.ndarray:
+        """score() of each DAG in a (k, d, d) stack, from one batched RSS pass."""
+        a = np.asarray(adjs)
+        d = self.d
+        if a.ndim != 3 or a.shape[1:] != (d, d):
+            raise DimensionMismatchError(
+                f"adjacency stack shape {a.shape} does not match batch with d={d}"
+            )
+        n = self.n
+        masks = ((a != 0).astype(np.int64) << np.arange(d)[:, None]).sum(axis=1)
+        rss = self._rss(np.broadcast_to(np.arange(d), masks.shape).ravel(), masks.ravel())
+        terms = n * np.log(np.maximum(rss.reshape(masks.shape) / n, _RSS_FLOOR))
+        total = np.zeros(len(a))
+        for term in terms.T:          # node order, as score() adds them
+            total += term
+        return total + a.reshape(len(a), -1).sum(axis=1) * np.log(n)
 
     # -- ordering search ---------------------------------------------------------
 
@@ -408,37 +456,45 @@ def bic_score(adj: np.ndarray, x: np.ndarray, cfg: ScoreConfig) -> float:
     return BatchScorer(x, cfg).score(adj)
 
 
-def _sq_fro(a: np.ndarray, b: np.ndarray) -> float:
+def _sq_fro(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Squared Frobenius distance of a graph, or of each in a stack, to b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
-    return float(np.sum(diff * diff))
+    return np.sum(diff * diff, axis=(-2, -1))
 
 
 def decouple_specific(a_spec: np.ndarray, a_inv_prev: np.ndarray,
-                      a_prev_state: np.ndarray) -> float:
-    """(||A_spec - comp(A_inv_prev)||^2 + ||A_spec - comp(A_prev_state)||^2) / d."""
-    d = np.asarray(a_spec).shape[0]
+                      a_prev_state: np.ndarray) -> float | np.ndarray:
+    """(||A_spec - comp(A_inv_prev)||^2 + ||A_spec - comp(A_prev_state)||^2) / d.
+
+    A (k, d, d) stack of A_spec gives the k terms.
+    """
+    d = np.asarray(a_spec).shape[-1]
     return (_sq_fro(a_spec, complement(a_inv_prev))
             + _sq_fro(a_spec, complement(a_prev_state))) / d
 
 
 def decouple_invariant(a_inv: np.ndarray, a_spec_prev: np.ndarray,
-                       a_prev_state: np.ndarray) -> float:
+                       a_prev_state: np.ndarray) -> float | np.ndarray:
     """(||A_inv - comp(A_spec_prev)||^2 + ||A_inv - A_prev_state||^2) / d.
 
     The second term has no complement: it is zero when the invariant graph
-    reproduces the previous state's estimate.
+    reproduces the previous state's estimate.  A (k, d, d) stack of A_inv
+    gives the k terms.
     """
-    d = np.asarray(a_inv).shape[0]
+    d = np.asarray(a_inv).shape[-1]
     return (_sq_fro(a_inv, complement(a_spec_prev))
             + _sq_fro(a_inv, a_prev_state)) / d
 
 
-def reward(kind: str, bic: float, decouple: float, cfg: ScoreConfig) -> RewardBreakdown:
-    """Total agent reward: -bic + lambda * decouple, with the breakdown kept."""
+def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> RewardBreakdown:
+    """Total agent reward: -bic + lambda * decouple, with the breakdown kept.
+
+    bic and decouple are numbers, or arrays of one term per episode.
+    """
     if kind == "specific":
         lam = cfg.penalty_lambda1
     elif kind == "invariant":

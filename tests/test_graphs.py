@@ -47,6 +47,27 @@ def test_action_to_dag_rejects_nonfinite():
         action_to_dag(np.array([np.nan, 0.0, 1.0, 1.0, 1.0, 1.0]))
 
 
+def test_action_to_dag_maps_a_stack_row_by_row():
+    rng = np.random.default_rng(5)
+    for d in (2, 4, 7):
+        actions = rng.standard_normal((9, action_dim(d)))
+        actions[3, :d] = actions[3, 0]                 # a row of ties
+        stack = action_to_dag(actions)
+        assert stack.shape == (9, d, d) and stack.dtype == np.int8
+        for row, adj in zip(actions, stack):
+            assert np.array_equal(adj, action_to_dag(row))
+    for bad in (np.nan, np.inf):
+        for row in range(3):
+            actions = rng.standard_normal((3, action_dim(3)))
+            actions[row, 5] = bad
+            with pytest.raises(InvalidActionError):
+                action_to_dag(actions)
+    with pytest.raises(InvalidActionError):
+        action_to_dag(rng.standard_normal((2, 2, action_dim(2))))
+    with pytest.raises(InvalidActionError):
+        action_to_dag(rng.standard_normal((2, 7)))
+
+
 def test_mapped_graphs_always_acyclic_small_sweep():
     rng = np.random.default_rng(7)
     for d in (2, 3, 5):

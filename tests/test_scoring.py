@@ -49,6 +49,8 @@ def test_bic_matches_lstsq_oracle_linear():
         got = bic_score(probe, x, ScoreConfig(backend="linear"))
         want = bic_lstsq_reference(probe, x, backend="linear")
         assert got == pytest.approx(want, rel=1e-8)
+        many = BatchScorer(x, ScoreConfig(backend="linear")).score_many(probe[None])
+        assert many[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_bic_matches_lstsq_oracle_quadratic():
@@ -61,6 +63,8 @@ def test_bic_matches_lstsq_oracle_quadratic():
         got = bic_score(probe, x, ScoreConfig(backend="quadratic"))
         want = bic_lstsq_reference(probe, x, backend="quadratic")
         assert got == pytest.approx(want, rel=1e-8)
+        many = BatchScorer(x, ScoreConfig(backend="quadratic")).score_many(probe[None])
+        assert many[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_bic_prefers_true_graph_over_empty():
@@ -106,6 +110,37 @@ def test_scorer_extends_its_base_with_a_batch():
         rng.standard_normal((6, 4)), ScoreConfig()))
     with pytest.raises(DimensionMismatchError):
         BatchScorer(rng.standard_normal((10, 3)), ScoreConfig(), base=scorer)
+
+
+def test_score_many_matches_score():
+    """One batched pass over a stack gives each DAG's score(), whichever of
+    the two filled the memo first."""
+    rng = np.random.default_rng(23)
+    d = 5
+    full = np.triu(np.ones((d, d), dtype=np.int8), 1)[np.ix_(*[rng.permutation(d)] * 2)]
+    for backend in BACKENDS:
+        cfg = ScoreConfig(backend=backend)
+        x = _sample_linear(random_dag(d, 0.5, rng), 60, rng)
+        probes = [random_dag(d, 0.5, rng) for _ in range(6)]
+        stack = np.stack(probes + [np.zeros((d, d), dtype=np.int8), full] + probes[:3])
+        base = BatchScorer(x[:40], cfg)
+        base.score_many(stack)
+        for make in (lambda: BatchScorer(x, cfg), lambda: BatchScorer(x[40:], cfg, base=base)):
+            by_score = make()
+            want = [by_score.score(a) for a in stack]
+            scorer = make()
+            cold = scorer.score_many(stack)
+            assert cold.shape == (len(stack),)
+            np.testing.assert_allclose(cold, want, rtol=1e-12, atol=0.0)
+            assert cold[-3:].tolist() == cold[:3].tolist()        # repeated DAGs
+            warm = scorer.score_many(stack[::-1])
+            assert warm.tolist() == cold[::-1].tolist()
+            np.testing.assert_allclose([scorer.score(a) for a in stack], want,
+                                       rtol=1e-12, atol=0.0)
+            # a memo that score() filled serves score_many
+            np.testing.assert_allclose(by_score.score_many(stack), want, rtol=1e-12, atol=0.0)
+    with pytest.raises(DimensionMismatchError):
+        scorer.score_many(stack[0])
 
 
 def _ordering_case(seed, d=8, n=300):
@@ -162,13 +197,27 @@ def test_ordering_search_survives_an_exact_linear_dependence():
 
 
 def test_ordering_search_ends_on_columns_far_from_zero():
-    """Centring a Gram matrix of columns with huge means cancels to noise;
-    the search must still end, with a finite score and no invalid value."""
+    """A shift of every column leaves every DAG's score unchanged: at offsets
+    up to 1e8 the score and the search's DAG match offset 0.  At 1e12 the
+    rows keep only a few bits of their spread; the search must still end,
+    with a finite score and no invalid value."""
     rng, _, x = _ordering_case(70, d=4, n=100)
+    starts = [rng.permutation(4) for _ in range(3)]
+    base = BatchScorer(x, ScoreConfig())
+    order, dag = base.ordering_search(starts)
+    for offset in (1e6, 1e8):
+        scorer = BatchScorer(x + offset, ScoreConfig())
+        assert scorer.ordering_search(starts)[0] == order
+        assert np.array_equal(scorer.ordering_search(starts)[1], dag)
+        assert scorer.score(dag) == pytest.approx(base.score(dag), rel=1e-6)
+        # a batch of the same state extends the statistics about the same origin
+        grown = BatchScorer(x[:10] + offset, ScoreConfig(), base=scorer)
+        whole = BatchScorer(np.concatenate([x, x[:10]]), ScoreConfig())
+        assert grown.score(dag) == pytest.approx(whole.score(dag), rel=1e-6)
     for offset in (1e6, 1e8, 1e12):
         scorer = BatchScorer(x + offset, ScoreConfig())
         with np.errstate(invalid="raise", divide="raise"):
-            order, dag = scorer.ordering_search([rng.permutation(4) for _ in range(3)])
+            order, dag = scorer.ordering_search(starts)
         assert sorted(order) == [0, 1, 2, 3]
         assert np.isfinite(scorer.score(dag))
 
@@ -215,6 +264,15 @@ def test_decouple_unit_cases_d2():
     assert decouple_invariant(full, zero, full) == 0.0
     assert decouple_invariant(e10, zero, zero) == pytest.approx(1.0)
     assert decouple_invariant(zero, zero, full) == pytest.approx(2.0)
+    # A stack of DAGs gives the term of each.
+    stack = np.stack([zero, full, e01, e10])
+    for prev, state in ((zero, zero), (e01, full), (full, e10)):
+        assert decouple_specific(stack, prev, state).tolist() == [
+            decouple_specific(a, prev, state) for a in stack]
+        assert decouple_invariant(stack, prev, state).tolist() == [
+            decouple_invariant(a, prev, state) for a in stack]
+    with pytest.raises(DimensionMismatchError):
+        decouple_specific(stack, np.zeros((3, 3)), zero)
 
 
 def test_reward_combines_bic_and_decouple():
