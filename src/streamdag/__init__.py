@@ -1,6 +1,6 @@
 """Online causal structure learning from non-stationary data streams."""
 
-from .agents import Agent, fuse_actions, partition_action_space, reinit_specific, update_baseline
+from .agents import Agent, fuse_actions, partition_action_space, update_baseline
 from .engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
 from .errors import (
     ConfigError,
@@ -69,7 +69,6 @@ __all__ = [
     "read_results",
     "read_stream",
     "read_truth",
-    "reinit_specific",
     "reward",
     "sem_sample",
     "structure_metrics",

@@ -300,8 +300,3 @@ class Agent:
             baseline=float(self.baseline.mean()),
         )
 
-
-def reinit_specific(agent: Agent) -> Agent:
-    """Re-draw the specific agent's parameters; never valid on the invariant."""
-    agent.reinit()
-    return agent

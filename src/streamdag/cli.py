@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> tuple[_Parser, dict[str, dict]]:
     parser = _Parser(prog="streamdag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    defaults: dict[str, dict] = {}
+    flags: dict[str, dict] = {}     # command -> dest -> (default, type, choices)
 
     def flag(p, name, *, typ=None, choices=None, default=None, helptext=""):
         dest = name.lstrip("-").replace("-", "_")
@@ -68,11 +68,11 @@ def _build_parser() -> tuple[_Parser, dict[str, dict]]:
         else:
             p.add_argument(name, dest=dest, type=typ, choices=choices,
                            default=None, help=helptext)
-        defaults[p.prog.split()[-1]][dest] = default
+        flags[p.prog.split()[-1]][dest] = (default, typ, choices)
 
     def command(name, helptext):
         p = sub.add_parser(name, help=helptext)
-        defaults[name] = {}
+        flags[name] = {}
         p.add_argument("--config", default=None,
                        help="JSON file supplying values for any flag of this command")
         return p
@@ -127,10 +127,10 @@ def _build_parser() -> tuple[_Parser, dict[str, dict]]:
     flag(p, "--k", default="1,3,5", helptext="comma-separated K values for PR@K and AP@K")
     flag(p, "--json", default=None, helptext="also write the rank list as JSON to this path")
 
-    return parser, defaults
+    return parser, flags
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge_config(args: argparse.Namespace, flags: dict) -> dict:
     """Resolve flag values: explicit CLI > config file > built-in default."""
     overrides = {}
     if args.config is not None:
@@ -140,12 +140,19 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc.msg}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(doc) - set(defaults)
+        unknown = set(doc) - set(flags)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():     # argparse's type and choices never saw these
+            _, typ, choices = flags[key]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            fits = {bool: isinstance(value, bool), int: number and isinstance(value, int),
+                    float: number}.get(typ, True)
+            if not fits or (choices is not None and value not in choices):
+                raise ConfigError(f"config key {key!r} does not fit its flag: {value!r}")
         overrides = doc
     resolved = {}
-    for key, default in defaults.items():
+    for key, (default, _, _) in flags.items():
         value = getattr(args, key)
         if value is None:
             value = overrides.get(key, default)
@@ -289,13 +296,13 @@ _COMMANDS = {"synth": _cmd_synth, "run": _cmd_run, "eval": _cmd_eval, "rca": _cm
 
 
 def main(argv=None) -> int:
-    parser, defaults = _build_parser()
+    parser, flags = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        opts = _merge_config(args, defaults[args.command])
+        opts = _merge_config(args, flags[args.command])
         return _COMMANDS[args.command](opts)
     except SystemExit as exc:
         return int(exc.code or 0)

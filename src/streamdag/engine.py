@@ -29,11 +29,11 @@ DAGs of two consecutive batches are more similar than xi_threshold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agents import Agent, fuse_actions, reinit_specific
+from .agents import Agent, fuse_actions
 from .errors import ConfigError, DimensionMismatchError
 from .graphs import action_dim, action_to_dag
 from .scoring import (
@@ -147,17 +147,18 @@ def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray, eps: float = _JS_EPS
     return float(1.0 - js.mean())
 
 
-class OracleDetector:
-    """Pass-through change-point detector: trusts the stream's transition flag."""
-
-    def is_transition(self, batch) -> bool:
-        return bool(batch.transition)
+def _detached(rec: EpisodeRecord, **changes) -> EpisodeRecord:
+    """rec with changes applied, sharing no array with rec."""
+    for name in ("a_est", "a_spec", "a_inv", "edge_scores"):
+        if getattr(rec, name) is not None:
+            changes[name] = getattr(rec, name).copy()
+    return replace(rec, **changes)
 
 
 class OnlineEngine:
     """Incremental DAG learner over a stream of batches."""
 
-    def __init__(self, d: int, cfg: OnlineConfig, detector=None):
+    def __init__(self, d: int, cfg: OnlineConfig):
         if not 2 <= d <= MAX_SEARCH_NODES:
             raise ConfigError(f"need 2 to {MAX_SEARCH_NODES} variables, got d={d}")
         if cfg.workers > action_dim(d):
@@ -166,7 +167,6 @@ class OnlineEngine:
             )
         self.d = d
         self.cfg = cfg
-        self.detector = detector if detector is not None else OracleDetector()
         embed = cfg.width()
         hidden = cfg.hidden_width()
         root = np.random.SeedSequence(cfg.seed)
@@ -180,11 +180,11 @@ class OnlineEngine:
         self._rng_inv = np.random.default_rng(inv_sample)
         self._rng_restart = np.random.default_rng(restarts)
         zeros = np.zeros((d, d), dtype=np.int8)
-        self.prev_batch_est = zeros.copy()     # previous batch's estimate
-        self.prev_spec_dag = zeros.copy()      # A_spec of the previous batch's best episode
-        self.prev_inv_dag = zeros.copy()       # A_inv of the previous batch's best episode
-        self.prev_best_dag = zeros.copy()      # fused DAG of the previous batch's best episode
-        self.prev_state_est = zeros.copy()     # final estimate of the previous state
+        # record of the last learning batch; empty graphs before the first batch
+        self._last = EpisodeRecord(t=0, l=0, a_est=zeros, a_spec=zeros, a_inv=zeros,
+                                   best_reward=np.nan, xi=0.0, wall_ms=0.0, converged=False)
+        self.prev_best_dag = zeros             # fused DAG of the previous batch's best episode
+        self.prev_state_est = zeros            # final estimate of the previous state
         self.prev_summary = np.zeros((d, 2))   # previous state's per-column (mean, std)
         self._stat_count = 0
         self._stat_sum = np.zeros(d)
@@ -194,14 +194,12 @@ class OnlineEngine:
         self.t: int | None = None
         self.batch_in_state = 0
         self.converged = False
-        self._last_best_reward = float("nan")
-        self._last_edge_scores: np.ndarray | None = None
 
     # -- state handling ---------------------------------------------------------
 
     def on_state_transition(self, t_new: int) -> "OnlineEngine":
         """Roll summaries, snapshot the finished state's estimate, reset the specific agent."""
-        self.prev_state_est = self.prev_batch_est.copy()
+        self.prev_state_est = self._last.a_est
         if self._stat_count > 0:
             mean = self._stat_sum / self._stat_count
             var = self._stat_sumsq / self._stat_count - mean * mean
@@ -210,7 +208,7 @@ class OnlineEngine:
         self._stat_sum[:] = 0.0
         self._stat_sumsq[:] = 0.0
         self.state_scorer = None
-        reinit_specific(self.spec)
+        self.spec.reinit()
         self.converged = False
         self.t = t_new
         self.batch_in_state = 0
@@ -230,8 +228,7 @@ class OnlineEngine:
                 f"batch {batch.t}/{batch.l} has width {x.shape[-1]}, expected d={self.d}"
             )
         start = time.perf_counter()
-        transition = self.t is not None and (
-            self.detector.is_transition(batch) or batch.t != self.t)
+        transition = self.t is not None and (batch.transition or batch.t != self.t)
         # The scorer is built before any state changes, so a batch it rejects
         # (too few rows for the state so far) leaves the engine as it was.
         scorer = (BatchScorer(x, self.cfg.score, base=None if transition else self.state_scorer)
@@ -273,23 +270,14 @@ class OnlineEngine:
         if xi > cfg.xi_threshold:
             self.converged = True
         self.prev_best_dag = a_best
-        self.prev_batch_est = a_est.copy()
-        self.prev_spec_dag = a_spec_best.copy()
-        if a_inv_best is not None:
-            self.prev_inv_dag = a_inv_best.copy()
         self._accumulate_stats(x)
-        self._last_best_reward = best_neg_bic
-        self._last_edge_scores = fused_best[self.d:].reshape(self.d, self.d).copy()
         wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
-        return EpisodeRecord(
-            t=batch.t, l=batch.l,
-            a_est=a_est.copy(),
-            a_spec=a_spec_best.copy(),
-            a_inv=None if a_inv_best is None else a_inv_best.copy(),
-            best_reward=best_neg_bic,
-            xi=xi, wall_ms=wall_ms, converged=self.converged,
-            edge_scores=self._last_edge_scores.copy(),
+        self._last = EpisodeRecord(
+            t=batch.t, l=batch.l, a_est=a_est, a_spec=a_spec_best, a_inv=a_inv_best,
+            best_reward=best_neg_bic, xi=xi, wall_ms=wall_ms, converged=self.converged,
+            edge_scores=fused_best[self.d:].reshape(self.d, self.d),
         )
+        return _detached(self._last)
 
     def _update(self, x: np.ndarray, scorer: BatchScorer, k: int) -> tuple[float, tuple]:
         """k episodes and one train_step per agent; the best episode's -BIC and
@@ -299,10 +287,11 @@ class OnlineEngine:
         ordering search runs.
         """
         cfg = self.cfg
-        z_spec = self.spec.encode_specific(x, self.prev_batch_est)
+        last = self._last
+        z_spec = self.spec.encode_specific(x, last.a_est)
         prop_spec = self.spec.propose(z_spec, self._rng_spec, k)
         if self.dual:
-            z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, self.prev_batch_est)
+            z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, last.a_est)
             prop_inv = self.inv.propose(z_inv, self._rng_inv, k)
             fused = fuse_actions(prop_spec.actions, prop_inv.actions, cfg.beta)
         else:
@@ -312,9 +301,9 @@ class OnlineEngine:
         if self.dual:
             a_spec = action_to_dag(prop_spec.actions)
             a_inv = action_to_dag(prop_inv.actions)
-            dec_s = decouple_specific(a_spec, self.prev_inv_dag, self.prev_state_est)
+            dec_s = decouple_specific(a_spec, last.a_inv, self.prev_state_est)
             r_spec = reward("specific", bic, dec_s, cfg.score).total
-            dec_i = decouple_invariant(a_inv, self.prev_spec_dag, self.prev_state_est)
+            dec_i = decouple_invariant(a_inv, last.a_spec, self.prev_state_est)
             r_inv = reward("invariant", bic, dec_i, cfg.score).total
         else:
             a_spec, a_inv = a_fused, None
@@ -328,19 +317,11 @@ class OnlineEngine:
         return -float(bic[i]), best
 
     def _converged_record(self, batch, start: float) -> EpisodeRecord:
-        """Early-exit path: no episodes, no scoring, just a copy; xi is 1, the
-        similarity of the estimate it repeats with itself."""
+        """Early-exit path: no episodes, no scoring, a copy of the last learning
+        record; xi is 1, the similarity of the estimate it repeats with itself."""
         wall_ms = (time.perf_counter() - start) * 1000.0 if self.cfg.timing else 0.0
-        return EpisodeRecord(
-            t=batch.t, l=batch.l,
-            a_est=self.prev_batch_est.copy(),
-            a_spec=self.prev_spec_dag.copy(),
-            a_inv=self.prev_inv_dag.copy() if self.dual else None,
-            best_reward=self._last_best_reward,
-            xi=1.0, wall_ms=wall_ms, converged=True,
-            edge_scores=(None if self._last_edge_scores is None
-                         else self._last_edge_scores.copy()),
-        )
+        return _detached(self._last, t=batch.t, l=batch.l, xi=1.0, wall_ms=wall_ms,
+                         converged=True)
 
     def run(self, batches):
         """Process an iterable of batches, yielding one record per batch."""

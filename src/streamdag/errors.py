@@ -22,12 +22,13 @@ class InsufficientDataError(StreamDagError):
 
 
 class SchemaError(StreamDagError):
-    """Malformed stream or results input; carries the offending line number."""
+    """Malformed stream or results input; carries the offending line number,
+    or a label such as "sidecar entry 3"."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | str | None = None):
         self.line = line
         if line is not None:
-            message = f"line {line}: {message}"
+            message = f"{f'line {line}' if isinstance(line, int) else line}: {message}"
         super().__init__(message)
 
 

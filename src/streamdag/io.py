@@ -5,8 +5,9 @@ Streams are JSON Lines, one batch per line:
     {"t": 1, "l": 1, "transition": true, "x": [[...], ...]}
 
 or alternatively a plain CSV of rows plus a sidecar JSON file mapping row
-ranges to (t, l).  Results are JSON Lines of per-batch estimates, flushed
-per line so downstream consumers can follow a run in progress.
+ranges to (t, l), checked as strictly as JSONL.  Results are JSON Lines of
+per-batch estimates, flushed per line so downstream consumers can follow a
+run in progress.
 """
 
 from __future__ import annotations
@@ -35,19 +36,26 @@ class StreamBatch:
             raise SchemaError(f"batch {self.t}/{self.l}: x must be a non-empty 2-d matrix")
 
 
-def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
+def _check_entry(obj, keys: set, where: int | str) -> tuple[int, int, bool]:
+    """(t, l, transition) of a JSONL line or CSV sidecar entry `where`, checked."""
     if not isinstance(obj, dict):
-        raise SchemaError("batch must be a JSON object", line_no)
-    missing = {"t", "l", "transition", "x"} - obj.keys()
+        raise SchemaError("batch must be a JSON object", where)
+    missing = keys - obj.keys()
     if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", line_no)
-    t, l, transition, x = obj["t"], obj["l"], obj["transition"], obj["x"]
+        raise SchemaError(f"missing keys {sorted(missing)}", where)
+    t, l, transition = obj["t"], obj["l"], obj["transition"]
     if not isinstance(t, int) or t < 1:
-        raise SchemaError(f"t must be an integer >= 1, got {t!r}", line_no)
+        raise SchemaError(f"t must be an integer >= 1, got {t!r}", where)
     if not isinstance(l, int) or l < 1:
-        raise SchemaError(f"l must be an integer >= 1, got {l!r}", line_no)
+        raise SchemaError(f"l must be an integer >= 1, got {l!r}", where)
     if not isinstance(transition, bool):
-        raise SchemaError(f"transition must be a boolean, got {transition!r}", line_no)
+        raise SchemaError(f"transition must be a boolean, got {transition!r}", where)
+    return t, l, transition
+
+
+def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
+    t, l, transition = _check_entry(obj, {"t", "l", "transition", "x"}, line_no)
+    x = obj["x"]
     if not isinstance(x, list) or not x or not all(isinstance(r, list) for r in x):
         raise SchemaError("x must be a non-empty list of rows", line_no)
     width = len(x[0])
@@ -62,18 +70,18 @@ def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
     return StreamBatch(t=t, l=l, transition=transition, x=mat)
 
 
-def _check_order(batch: StreamBatch, prev: tuple | None, line_no: int, prev_line: int):
+def _check_order(batch: StreamBatch, prev: tuple | None, where: int | str, prev_where: str):
     if prev is not None and (batch.t, batch.l) <= prev:
         raise SchemaError(
             f"batch (t={batch.t}, l={batch.l}) is out of order after "
-            f"(t={prev[0]}, l={prev[1]}) on line {prev_line}",
-            line_no,
+            f"(t={prev[0]}, l={prev[1]}) on {prev_where}",
+            where,
         )
 
 
 def _iter_jsonl(lines) -> "iter":
     prev = None
-    prev_line = 0
+    prev_where = ""
     width = None
     for line_no, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -90,10 +98,18 @@ def _iter_jsonl(lines) -> "iter":
             raise SchemaError(
                 f"column count drifted from {width} to {batch.x.shape[1]}", line_no
             )
-        _check_order(batch, prev, line_no, prev_line)
+        _check_order(batch, prev, line_no, prev_where)
         prev = (batch.t, batch.l)
-        prev_line = line_no
+        prev_where = f"line {line_no}"
         yield batch
+
+
+def _cell(text: str) -> float:
+    """A CSV cell as a float, nan if it is not a number (rejected per entry)."""
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
 
 
 def _iter_csv(path: Path, sidecar: Path):
@@ -105,24 +121,25 @@ def _iter_csv(path: Path, sidecar: Path):
         raise SchemaError(f"sidecar is not valid JSON: {exc.msg}") from None
     if not isinstance(meta, list) or not meta:
         raise SchemaError("sidecar must be a non-empty list of row-range entries")
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2, converters=_cell)
+    except ValueError as exc:
+        raise SchemaError(f"CSV rows must be rectangular: {exc}") from None
     prev = None
-    prev_entry = 0
+    prev_where = ""
     for entry_no, entry in enumerate(meta, start=1):
-        missing = {"t", "l", "transition", "start", "stop"} - entry.keys()
-        if missing:
-            raise SchemaError(f"sidecar entry {entry_no} missing keys {sorted(missing)}")
+        where = f"sidecar entry {entry_no}"
+        t, l, transition = _check_entry(entry, {"t", "l", "transition", "start", "stop"}, where)
         start, stop = entry["start"], entry["stop"]
         if not (isinstance(start, int) and isinstance(stop, int)
                 and 0 <= start < stop <= rows.shape[0]):
-            raise SchemaError(
-                f"sidecar entry {entry_no} has invalid row range [{start}, {stop})"
-            )
-        batch = StreamBatch(t=entry["t"], l=entry["l"],
-                            transition=bool(entry["transition"]), x=rows[start:stop])
-        _check_order(batch, prev, entry_no, prev_entry)
+            raise SchemaError(f"invalid row range [{start}, {stop})", where)
+        if not np.isfinite(rows[start:stop]).all():
+            raise SchemaError(f"cells in rows [{start}, {stop}) must be finite numbers", where)
+        batch = StreamBatch(t=t, l=l, transition=transition, x=rows[start:stop])
+        _check_order(batch, prev, where, prev_where)
         prev = (batch.t, batch.l)
-        prev_entry = entry_no
+        prev_where = where
         yield batch
 
 

@@ -8,9 +8,7 @@ the same code runs one policy or a stack of factored sub-policies.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -45,10 +43,6 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -213,9 +207,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy())
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -266,20 +257,6 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def state_dict(self) -> dict[str, list]:
-        return {k: [list(t.data.shape), t.data.reshape(-1).tolist()]
-                for k, t in self.params.items()}
-
-    def load_state_dict(self, state: dict):
-        for k, (shape, flat) in state.items():
-            arr = np.asarray(flat, dtype=float).reshape(shape)
-            if k in self.params:
-                if self.params[k].data.shape != arr.shape:
-                    raise DimensionMismatchError(f"checkpoint shape mismatch for {k}")
-                self.params[k].data = arr
-            else:
-                self.add(k, arr)
-
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8):
@@ -301,18 +278,6 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-def save_params(store: ParamStore, path: str | Path, header: dict | None = None):
-    doc = {"header": header or {}, "params": store.state_dict()}
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_params(path: str | Path) -> tuple[ParamStore, dict]:
-    doc = json.loads(Path(path).read_text())
-    store = ParamStore()
-    store.load_state_dict(doc["params"])
-    return store, doc.get("header", {})
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +336,14 @@ def gcn_normalize(adj: np.ndarray) -> np.ndarray:
 
 
 class GCNLayer:
-    """One graph convolution: activation(norm(A+I) @ feats @ W + b)."""
+    """One graph convolution: tanh(norm(A+I) @ feats @ W + b)."""
 
     def __init__(self, store: ParamStore, name: str, stack: tuple[int, ...],
                  n_in: int, n_out: int, rng: np.random.Generator):
         self.lin = Linear(store, name, stack, n_in, n_out, rng)
 
-    def __call__(self, feats: Tensor, adj_norm: np.ndarray, activation: str = "tanh") -> Tensor:
-        mixed = Tensor(adj_norm) @ feats
-        out = self.lin(mixed)
-        if activation == "tanh":
-            return out.tanh()
-        if activation == "linear":
-            return out
-        raise ValueError(f"unknown activation {activation!r}")
+    def __call__(self, feats: Tensor, adj_norm: np.ndarray) -> Tensor:
+        return self.lin(Tensor(adj_norm) @ feats).tanh()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CyclicGraphError, GenerationError
-from .graphs import is_acyclic, topological_order
+from .graphs import is_acyclic, random_dag, topological_order
 from .io import StreamBatch
 
 MECHANISMS = ("LG", "LE", "QR", "GP")
@@ -72,13 +72,6 @@ class GroundTruth:
         return self.params.lin * self.adjacencies[t - 1]
 
 
-def _er_dag(d: int, expected_degree: float, rng: np.random.Generator) -> np.ndarray:
-    p = min(expected_degree / max(d - 1, 1), 1.0)
-    upper = np.triu(rng.random((d, d)) < p, k=1).astype(np.int8)
-    perm = rng.permutation(d)
-    return upper[np.ix_(perm, perm)]
-
-
 def _inject_noise_edges(adj: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Add `count` random edges that keep the graph acyclic; retry, then fail."""
     out = adj.copy()
@@ -104,10 +97,6 @@ def _inject_noise_edges(adj: np.ndarray, count: int, rng: np.random.Generator) -
     return out
 
 
-def _quad_feature_count(k: int) -> int:
-    return 2 * k + k * (k - 1) // 2
-
-
 def _draw_weight(rng: np.random.Generator, size) -> np.ndarray:
     mag = rng.uniform(0.5, 2.0, size=size)
     sign = rng.choice([-1.0, 1.0], size=size)
@@ -116,7 +105,7 @@ def _draw_weight(rng: np.random.Generator, size) -> np.ndarray:
 
 def make_state_graphs(cfg: SynthConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """G_m from ER, earlier states by cumulative deletion plus noise injection."""
-    final = _er_dag(cfg.d, cfg.er_expected_degree, rng)
+    final = random_dag(cfg.d, min(cfg.er_expected_degree / (cfg.d - 1), 1.0), rng)
     graphs = [final]
     per_step = final.sum() // cfg.m
     cur = final

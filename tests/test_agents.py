@@ -9,7 +9,6 @@ from streamdag.agents import (
     Agent,
     fuse_actions,
     partition_action_space,
-    reinit_specific,
     update_baseline,
 )
 from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
@@ -303,7 +302,7 @@ def test_actor_gradient_matches_finite_differences():
 def test_reinit_guard_and_determinism():
     inv = make_agent("invariant", seed=30)
     with pytest.raises(ConfigError):
-        reinit_specific(inv)
+        inv.reinit()
 
     a = make_agent("specific", seed=31)
     b = make_agent("specific", seed=31)
@@ -312,8 +311,8 @@ def test_reinit_guard_and_determinism():
     prop = a.propose(z, np.random.default_rng(4), 1)
     a.train_step(prop, [3.0])
     a.commit_carry()
-    reinit_specific(a)
-    reinit_specific(b)
+    a.reinit()
+    b.reinit()
     for k in a.params.params:
         np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
     assert a.baseline.tolist() == [0.0]

@@ -134,6 +134,34 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("synth", {"d": "4"}),
+    ("synth", {"m": "2"}),
+    ("synth", {"seed": 1.5}),
+    ("synth", {"csv": 1}),
+    ("run", {"episodes": "2"}),
+    ("run", {"workers": 2.0, "mode": "marlin-m"}),
+    ("run", {"beta": True}),
+    ("run", {"no_timing": "yes"}),
+])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, doc):
+    """Each value would pass as a command-line flag's text; in a config file
+    it must already have the flag's type."""
+    if command == "synth":
+        args = ["synth", "--out", str(tmp_path / "s.jsonl"), "--truth", str(tmp_path / "t.json")]
+        base = {"d": 4, "n_per_state": 60, "batch_size": 30}
+    else:
+        assert main(_synth_args(tmp_path)) == 0
+        args = ["run", "--stream", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+        base = {"episodes": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, **doc}))
+    capsys.readouterr()
+    assert main([*args, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(next(iter(doc))) in err
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["run", "--stream", str(tmp_path / "nope.jsonl")]) == 2
 

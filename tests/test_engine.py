@@ -5,8 +5,9 @@ import pytest
 
 from streamdag.engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
 from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
-from streamdag.io import StreamBatch
+from streamdag.io import StreamBatch, record_to_dict
 from streamdag.scoring import ScoreConfig, bic_score
+from streamdag.synth import SynthConfig, generate
 
 from oracles import is_acyclic_dfs
 
@@ -299,6 +300,23 @@ def test_convergence_early_exit_freezes_estimate():
     fresh = StreamBatch(t=2, l=1, transition=True, x=batches[0].x)
     rec = eng.process_batch(fresh)
     assert rec.xi == 0.0 and not rec.converged
+
+
+def test_records_share_no_array_with_the_engine():
+    """Overwriting every array of every record an engine hands out, on the
+    learning and on the converged path, leaves its later records unchanged."""
+    batches, _ = generate(SynthConfig(d=4, m=2, n_per_state=90, batch_size=30, seed=3))
+    cfg = OnlineConfig(episodes_per_batch=4, seed=5, xi_threshold=0.0, timing=False)
+    spoiled, twin = OnlineEngine(d=4, cfg=cfg), OnlineEngine(d=4, cfg=cfg)
+    converged = 0
+    for batch in batches:
+        rec = spoiled.process_batch(batch)
+        assert record_to_dict(rec) == record_to_dict(twin.process_batch(batch))
+        converged += rec.converged and rec.xi == 1.0
+        for a in (rec.a_est, rec.a_spec, rec.a_inv):
+            a[...] = 1 - a
+        rec.edge_scores[...] = np.nan
+    assert converged == 2                             # the third batch of each state
 
 
 def test_timing_flag_zeroes_wall_ms():

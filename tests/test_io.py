@@ -90,6 +90,52 @@ def test_csv_bad_row_range(tmp_path):
         list(read_stream(path))
 
 
+_GOOD_ENTRY = {"t": 1, "l": 1, "transition": False, "start": 0, "stop": 2}
+
+
+@pytest.mark.parametrize("cell,entry,fragment", [
+    ("nan", {}, "finite number"),
+    ("inf", {}, "finite number"),
+    ("-inf", {}, "finite number"),
+    ("abc", {}, "finite number"),
+    ("", {}, "finite number"),
+    ("5.0", {"t": "1"}, "t must be"),
+    ("5.0", {"l": 0}, "l must be"),
+    ("5.0", {"transition": 1}, "transition must be"),
+    ("5.0", None, "must be a JSON object"),
+])
+def test_csv_entries_get_the_jsonl_checks(tmp_path, cell, entry, fragment):
+    """Entry 2 of the sidecar (rows 2-3) is bad; the error names it."""
+    path = tmp_path / "s.csv"
+    path.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{cell}\n7.0,8.0\n")
+    second = [3] if entry is None else {"t": 1, "l": 2, "transition": False,
+                                        "start": 2, "stop": 4, **entry}
+    (tmp_path / "s.meta.json").write_text(json.dumps([_GOOD_ENTRY, second]))
+    with pytest.raises(SchemaError) as err:
+        list(read_stream(path))
+    assert "sidecar entry 2" in str(err.value)
+    assert fragment in str(err.value)
+
+
+def test_csv_ragged_rows_are_a_schema_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("1.0,2.0\n3.0\n")
+    (tmp_path / "s.meta.json").write_text(json.dumps([_GOOD_ENTRY]))
+    with pytest.raises(SchemaError):
+        list(read_stream(path))
+
+
+def test_csv_out_of_order_error_names_both_entries(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n")
+    meta = [{**_GOOD_ENTRY, "t": 2, "stop": 1}, {**_GOOD_ENTRY, "start": 1}]
+    (tmp_path / "s.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(SchemaError) as err:
+        list(read_stream(path))
+    assert str(err.value).startswith("sidecar entry 2:")
+    assert str(err.value).endswith("on sidecar entry 1")
+
+
 def test_file_object_source_treated_as_jsonl():
     buf = io.StringIO('{"t": 1, "l": 1, "transition": false, "x": [[1.0, 2.0]]}\n')
     back = list(read_stream(buf))
