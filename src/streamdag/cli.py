@@ -38,12 +38,13 @@ from .io import (
     write_stream,
     write_truth,
 )
-from .metrics import ranking_metrics, summarize_run
+from .metrics import METRIC_COLUMNS, ranking_metrics, summarize_run
 from .rca import RwrConfig, fault_window_scores, rank_root_causes
 from .scoring import BACKENDS, ScoreConfig
 from .synth import MECHANISMS, SynthConfig, generate
 
-_METRIC_COLUMNS = ("tpr", "fdr", "f1", "auroc", "shd", "sid", "atb_ms")
+# Untyped flags take a str; these also take the list their parser accepts.
+_LIST_FLAGS = ("rows", "k", "roots")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +147,9 @@ def _merge_config(args: argparse.Namespace, flags: dict) -> dict:
         for key, value in doc.items():     # argparse's type and choices never saw these
             _, typ, choices = flags[key]
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            text = isinstance(value, str) or (key in _LIST_FLAGS and isinstance(value, list))
             fits = {bool: isinstance(value, bool), int: number and isinstance(value, int),
-                    float: number}.get(typ, True)
+                    float: number, None: text}[typ]
             if not fits or (choices is not None and value not in choices):
                 raise ConfigError(f"config key {key!r} does not fit its flag: {value!r}")
         overrides = doc
@@ -214,11 +216,11 @@ def _format_report_table(summary: dict) -> str:
     for i, state in enumerate(summary["states"], start=1):
         rows.append((str(i), state))
     rows.append(("avg", summary["average"]))
-    header = f"{'state':>5}" + "".join(f"{c:>9}" for c in _METRIC_COLUMNS)
+    header = f"{'state':>5}" + "".join(f"{c:>9}" for c in METRIC_COLUMNS)
     lines = [header]
     for label, rep in rows:
         cells = []
-        for c in _METRIC_COLUMNS:
+        for c in METRIC_COLUMNS:
             v = rep[c]
             if c in ("shd", "sid") and float(v).is_integer():
                 cells.append(f"{int(v):>9d}")
@@ -242,23 +244,20 @@ def _cmd_eval(opts: dict) -> int:
 
 
 def _parse_int_list(text, flagname: str) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+    parts = text if isinstance(text, list) else str(text).split(",")
     try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError:
+        return [int(part) for part in parts if part != ""]
+    except (TypeError, ValueError):
         raise ConfigError(f"--{flagname} expects comma-separated integers, got {text!r}") from None
 
 
 def _parse_rows(value) -> tuple[int, int]:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return int(value[0]), int(value[1])
-    parts = str(value).split(":")
+    parts = value if isinstance(value, list) else str(value).split(":")
     if len(parts) != 2:
         raise ConfigError(f"--rows expects START:STOP, got {value!r}")
     try:
         return int(parts[0]), int(parts[1])
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"--rows expects integer bounds, got {value!r}") from None
 
 

@@ -122,11 +122,12 @@ class EpisodeRecord:
     edge_scores: np.ndarray | None = None
 
 
-def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray, eps: float = _JS_EPS) -> float:
+def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
     """1 minus the mean base-2 JS divergence over off-diagonal edge cells.
 
-    Each cell is a Laplace-smoothed Bernoulli p = (v + eps) / (1 + 2 eps),
-    so identical graphs give 1 and fully complementary graphs approach 0.
+    Each cell is a Laplace-smoothed Bernoulli p = (v + eps) / (1 + 2 eps) with
+    eps = _JS_EPS, so identical graphs give 1 and fully complementary graphs
+    approach 0.
     """
     a = np.asarray(g_prev, dtype=float)
     b = np.asarray(g_cur, dtype=float)
@@ -136,8 +137,8 @@ def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray, eps: float = _JS_EPS
     if d < 2:
         return 1.0
     off = ~np.eye(d, dtype=bool)
-    p = (a[off] + eps) / (1.0 + 2.0 * eps)
-    q = (b[off] + eps) / (1.0 + 2.0 * eps)
+    p = (a[off] + _JS_EPS) / (1.0 + 2.0 * _JS_EPS)
+    q = (b[off] + _JS_EPS) / (1.0 + 2.0 * _JS_EPS)
 
     def kl(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return u * np.log2(u / v) + (1.0 - u) * np.log2((1.0 - u) / (1.0 - v))

@@ -44,10 +44,9 @@ def _check_entry(obj, keys: set, where: int | str) -> tuple[int, int, bool]:
     if missing:
         raise SchemaError(f"missing keys {sorted(missing)}", where)
     t, l, transition = obj["t"], obj["l"], obj["transition"]
-    if not isinstance(t, int) or t < 1:
-        raise SchemaError(f"t must be an integer >= 1, got {t!r}", where)
-    if not isinstance(l, int) or l < 1:
-        raise SchemaError(f"l must be an integer >= 1, got {l!r}", where)
+    for name, v in (("t", t), ("l", l)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise SchemaError(f"{name} must be an integer >= 1, got {v!r}", where)
     if not isinstance(transition, bool):
         raise SchemaError(f"transition must be a boolean, got {transition!r}", where)
     return t, l, transition
@@ -158,19 +157,19 @@ def read_stream(source, sidecar=None):
 
 
 @contextmanager
-def _open_write(target):
-    """Yield `target` if it is already a writable file object, else open the path."""
-    if hasattr(target, "write"):
+def _open(target, mode: str):
+    """Yield `target` if it is already a file object, else open the path in `mode`."""
+    if hasattr(target, "read" if mode == "r" else "write"):
         yield target
     else:
-        with Path(target).open("w") as fh:
+        with Path(target).open(mode) as fh:
             yield fh
 
 
 def write_stream(batches, path) -> int:
     """Write batches as JSON Lines; returns the number written."""
     count = 0
-    with _open_write(path) as fh:
+    with _open(path, "w") as fh:
         for batch in batches:
             fh.write(json.dumps({
                 "t": int(batch.t),
@@ -183,10 +182,10 @@ def write_stream(batches, path) -> int:
     return count
 
 
-def write_csv_stream(batches, path, sidecar=None) -> int:
-    """CSV + sidecar alternative to write_stream."""
+def write_csv_stream(batches, path) -> int:
+    """CSV + sidecar alternative to write_stream; the sidecar is the CSV path
+    with suffix .meta.json, where read_stream looks by default."""
     path = Path(path)
-    side = Path(sidecar) if sidecar is not None else path.with_suffix(".meta.json")
     meta = []
     row = 0
     count = 0
@@ -201,7 +200,7 @@ def write_csv_stream(batches, path, sidecar=None) -> int:
                          "start": row, "stop": row + x.shape[0]})
             row += x.shape[0]
             count += 1
-    side.write_text(json.dumps(meta, sort_keys=True))
+    path.with_suffix(".meta.json").write_text(json.dumps(meta, sort_keys=True))
     return count
 
 
@@ -228,7 +227,7 @@ def write_results(records, path) -> int:
     Accepts per-batch record objects or dicts already in JSON-ready form.
     """
     count = 0
-    with _open_write(path) as fh:
+    with _open(path, "w") as fh:
         for record in records:
             if not isinstance(record, dict):
                 record = record_to_dict(record)
@@ -239,19 +238,10 @@ def write_results(records, path) -> int:
     return count
 
 
-@contextmanager
-def _open_read(source):
-    if hasattr(source, "read"):
-        yield source
-    else:
-        with Path(source).open() as fh:
-            yield fh
-
-
 def read_results(path) -> list[dict]:
     """Parse a results file back into dicts (adjacencies as nested lists)."""
     out = []
-    with _open_read(path) as fh:
+    with _open(path, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:

@@ -8,7 +8,7 @@ is decided by active-trail reachability from i, one pass for every j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,11 @@ class StructureReport:
     atb_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {"tpr": self.tpr, "fdr": self.fdr, "f1": self.f1, "auroc": self.auroc,
-                "shd": self.shd, "sid": self.sid, "atb_ms": self.atb_ms}
+        return asdict(self)
+
+
+# The per-state columns of `streamdag eval` and of summarize_run's average.
+METRIC_COLUMNS = tuple(f.name for f in fields(StructureReport))
 
 
 @dataclass
@@ -89,12 +92,14 @@ def auroc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def descendants(adj: np.ndarray, node: int) -> np.ndarray:
-    """Boolean mask of nodes reachable from `node`, including itself."""
-    d = adj.shape[0]
-    seen = np.zeros(d, dtype=bool)
-    seen[node] = True
-    frontier = [node]
+def descendants(adj: np.ndarray, seeds) -> np.ndarray:
+    """Boolean mask of the seeds (a node index or a mask) and every node they reach.
+
+    On adj.T this is the seeds plus their ancestors.
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[seeds] = True
+    frontier = list(np.flatnonzero(seen))
     while frontier:
         u = frontier.pop()
         for v in np.flatnonzero(adj[u]):
@@ -102,19 +107,6 @@ def descendants(adj: np.ndarray, node: int) -> np.ndarray:
                 seen[v] = True
                 frontier.append(v)
     return seen
-
-
-def _ancestral_mask(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Boolean mask of seeds plus all their ancestors."""
-    mask = seeds.copy()
-    frontier = list(np.flatnonzero(seeds))
-    while frontier:
-        u = frontier.pop()
-        for v in np.flatnonzero(adj[:, u]):
-            if not mask[v]:
-                mask[v] = True
-                frontier.append(v)
-    return mask
 
 
 def d_connected(adj: np.ndarray, x: int, z: np.ndarray) -> np.ndarray:
@@ -126,7 +118,7 @@ def d_connected(adj: np.ndarray, x: int, z: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(adj, dtype=bool)
     z = np.asarray(z, dtype=bool)
-    opens = _ancestral_mask(a, z)              # colliders that z activates
+    opens = descendants(a.T, z)                # colliders that z activates
     reach = np.zeros(a.shape[0], dtype=bool)
     seen = set()
     frontier = [(x, True)]                     # (node, reached from a child)
@@ -260,8 +252,6 @@ def summarize_run(results: list[dict], truth: dict) -> dict:
         )
         report.atb_ms = atb([r for r in results if int(r["t"]) == t])
         states.append(report)
-    avg = {
-        key: float(np.mean([s.as_dict()[key] for s in states]))
-        for key in ("tpr", "fdr", "f1", "auroc", "shd", "sid", "atb_ms")
-    }
-    return {"states": [s.as_dict() for s in states], "average": avg}
+    rows = [s.as_dict() for s in states]
+    avg = {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
+    return {"states": rows, "average": avg}

@@ -17,6 +17,10 @@ from .errors import DimensionMismatchError
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -258,13 +262,12 @@ class ParamStore:
             t.grad = None
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(store: ParamStore, lr: float):
     """One bias-corrected Adam update over every parameter with a gradient."""
     store.step_count += 1
     t = store.step_count
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _ADAM_BETA1 ** t
+    c2 = 1.0 - _ADAM_BETA2 ** t
     for name, p in store.params.items():
         g = p.grad
         if g is None:
@@ -273,11 +276,11 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
             raise DimensionMismatchError(f"gradient shape mismatch for {name}")
         m = store.m[name]
         v = store.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,17 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, GenerationError, InsufficientDataError
 
+# The walk stops once one step moves less than this much probability mass.
+_WALK_TOL = 1e-12
+_WALK_MAX_ITER = 10000
+# Lower bound on a normal-window sigma, so a constant column scores finitely.
+_SIGMA_FLOOR = 1e-12
+
 
 @dataclass
 class RwrConfig:
     anomaly_scores: np.ndarray
     restart_prob: float = 0.3
-    tol: float = 1e-12
-    max_iter: int = 10000
 
     def __post_init__(self):
         self.anomaly_scores = np.asarray(self.anomaly_scores, dtype=float)
@@ -32,10 +36,6 @@ class RwrConfig:
             raise ConfigError("anomaly_scores must not be all zero")
         if not 0.0 < self.restart_prob < 1.0:
             raise ConfigError(f"restart_prob must be in (0, 1), got {self.restart_prob}")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be positive")
 
 
 def rank_root_causes(adj: np.ndarray, cfg: RwrConfig) -> list[tuple[int, float]]:
@@ -59,20 +59,19 @@ def rank_root_causes(adj: np.ndarray, cfg: RwrConfig) -> list[tuple[int, float]]
     trans[:, ~nonzero] = q[:, None]           # dangling columns restart
     r = cfg.restart_prob
     pi = q.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(_WALK_MAX_ITER):
         nxt = (1.0 - r) * (trans @ pi) + r * q
-        if np.abs(nxt - pi).sum() < cfg.tol:
+        if np.abs(nxt - pi).sum() < _WALK_TOL:
             pi = nxt
             break
         pi = nxt
     else:
-        raise GenerationError(f"random walk did not converge in {cfg.max_iter} iterations")
+        raise GenerationError(f"random walk did not converge in {_WALK_MAX_ITER} iterations")
     order = np.lexsort((np.arange(d), -pi))
     return [(int(i), float(pi[i])) for i in order]
 
 
-def anomaly_zscores(normal_x: np.ndarray, fault_x: np.ndarray,
-                    floor: float = 1e-12) -> np.ndarray:
+def anomaly_zscores(normal_x: np.ndarray, fault_x: np.ndarray) -> np.ndarray:
     """Per-node mean absolute deviation of the fault window, in normal-window sigmas."""
     normal_x = np.asarray(normal_x, dtype=float)
     fault_x = np.asarray(fault_x, dtype=float)
@@ -83,7 +82,7 @@ def anomaly_zscores(normal_x: np.ndarray, fault_x: np.ndarray,
     if fault_x.shape[0] < 1:
         raise InsufficientDataError("fault window is empty")
     mu = normal_x.mean(axis=0)
-    sigma = np.maximum(normal_x.std(axis=0), floor)
+    sigma = np.maximum(normal_x.std(axis=0), _SIGMA_FLOOR)
     return np.abs(fault_x - mu).mean(axis=0) / sigma
 
 

@@ -45,6 +45,8 @@ _RESIDUAL_TOL = 1e-10
 _CLIMB_TOL = 1e-9
 # Memory bound on the Cholesky columns of one batched parent selection.
 _SELECT_BYTES = 1 << 20
+# Ridge added to each parent Gram diagonal, so collinear parents still solve.
+_RIDGE_EPS = 1e-8
 # The ordering search keys (node, node set) pairs as node + d * bitmask in int64.
 MAX_SEARCH_NODES = 57
 
@@ -54,13 +56,10 @@ class ScoreConfig:
     backend: str = "linear"
     penalty_lambda1: float = 0.1
     penalty_lambda2: float = 0.1
-    ridge_eps: float = 1e-8
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if not (self.ridge_eps > 0):
-            raise ConfigError("ridge_eps must be > 0")
         for name in ("penalty_lambda1", "penalty_lambda2"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -171,11 +170,11 @@ class BatchScorer:
         cols = np.concatenate(cols, axis=1)
         f = cols.shape[1]
         s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
-        s_xx.reshape(q, f * f)[:, ::f + 1] += self.cfg.ridge_eps      # the diagonals
+        s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
         s_xy = self._xty[cols, nodes[:, None]]
         beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
         # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
-        rss = self._yty[nodes] - (beta * (s_xy + self.cfg.ridge_eps * beta)).sum(axis=1)
+        rss = self._yty[nodes] - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
         return np.maximum(rss, 0.0)
 
     def score(self, adj: np.ndarray) -> float:

@@ -143,6 +143,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     ("run", {"workers": 2.0, "mode": "marlin-m"}),
     ("run", {"beta": True}),
     ("run", {"no_timing": "yes"}),
+    ("run", {"out": 5, "episodes": 2}),
 ])
 def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, doc):
     """Each value would pass as a command-line flag's text; in a config file
@@ -216,3 +217,8 @@ def test_rca_bad_rows_format(tmp_path, capsys):
     assert main(["rca", "--results", "r", "--stream", "s", "--state", "1",
                  "--rows", "abc"]) == 1
     assert "START:STOP" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rows": ["a", "b"]}))
+    assert main(["rca", "--results", "r", "--stream", "s", "--state", "1",
+                 "--config", str(cfg)]) == 1
+    assert "integer bounds" in capsys.readouterr().err

@@ -103,6 +103,7 @@ _GOOD_ENTRY = {"t": 1, "l": 1, "transition": False, "start": 0, "stop": 2}
     ("5.0", {"l": 0}, "l must be"),
     ("5.0", {"transition": 1}, "transition must be"),
     ("5.0", None, "must be a JSON object"),
+    ("5.0", {"t": True}, "t must be"),
 ])
 def test_csv_entries_get_the_jsonl_checks(tmp_path, cell, entry, fragment):
     """Entry 2 of the sidecar (rows 2-3) is bad; the error names it."""
@@ -153,6 +154,7 @@ def test_blank_lines_are_skipped():
     ('{"t": 1, "l": 1, "x": [[1.0]]}', "missing keys"),
     ('{"t": 0, "l": 1, "transition": false, "x": [[1.0]]}', "t must be"),
     ('{"t": 1, "l": "a", "transition": false, "x": [[1.0]]}', "l must be"),
+    ('{"t": true, "l": true, "transition": false, "x": [[1.0, 2.0]]}', "t must be"),
     ('{"t": 1, "l": 1, "transition": 1, "x": [[1.0]]}', "transition must be"),
     ('{"t": 1, "l": 1, "transition": false, "x": []}', "non-empty list"),
     ('{"t": 1, "l": 1, "transition": false, "x": [[1.0], [1.0, 2.0]]}', "rectangular"),

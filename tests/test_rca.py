@@ -27,10 +27,6 @@ def test_config_validation():
         RwrConfig(anomaly_scores=ok, restart_prob=0.0)
     with pytest.raises(ConfigError):
         RwrConfig(anomaly_scores=ok, restart_prob=1.0)
-    with pytest.raises(ConfigError):
-        RwrConfig(anomaly_scores=ok, tol=0.0)
-    with pytest.raises(ConfigError):
-        RwrConfig(anomaly_scores=ok, max_iter=0)
 
 
 def test_single_node_graph():
@@ -92,8 +88,10 @@ def test_ranking_is_deterministic():
 
 
 def test_non_convergence_raises():
+    """The chain's walk alternates between its nodes and damps by a factor
+    1 - restart_prob per step, too slowly to settle within the step limit."""
     adj = np.array([[0, 1], [0, 0]], dtype=int)
-    cfg = RwrConfig(anomaly_scores=np.array([0.0, 1.0]), tol=1e-15, max_iter=1)
+    cfg = RwrConfig(anomaly_scores=np.array([0.0, 1.0]), restart_prob=1e-4)
     with pytest.raises(GenerationError):
         rank_root_causes(adj, cfg)
 
