@@ -154,7 +154,7 @@ class Agent:
 
     # -- construction --------------------------------------------------------
 
-    def _build(self, rng: np.random.Generator):
+    def _build(self, rng: np.random.Generator, reuse: ParamStore | None = None):
         d, w, emb, hid = self.d, self.workers, self.embed, self.hidden
         store = ParamStore()
         stack = (w,)
@@ -175,14 +175,15 @@ class Agent:
         self.dec2 = Linear(store, "dec2", stack, hid, 2 * self.max_slice, rng, gain=0.1)
         self.critic1 = Linear(store, "critic1", stack, emb, hid, rng)
         self.critic2 = Linear(store, "critic2", stack, hid, 1, rng)
+        store.pack(reuse)
         self.params = store
         self.baseline = np.zeros(self.workers)
 
     def reinit(self):
-        """Fresh seeded parameters, zero carry, zero baseline."""
+        """Fresh seeded parameters, zero carry, zero baseline, in the old store's buffers."""
         if self.kind != "specific":
             raise ConfigError("only the state-specific agent is reinitialized")
-        self._build(np.random.default_rng(self._init_seq.spawn(1)[0]))
+        self._build(np.random.default_rng(self._init_seq.spawn(1)[0]), reuse=self.params)
 
     # -- encoders -------------------------------------------------------------
 

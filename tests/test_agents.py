@@ -311,12 +311,20 @@ def test_reinit_guard_and_determinism():
     prop = a.propose(z, np.random.default_rng(4), 1)
     a.train_step(prop, [3.0])
     a.commit_carry()
+    buffer = a.params.data
     a.reinit()
     b.reinit()
+    assert a.params.data is buffer                 # the new parameters reuse the old buffers
     for k in a.params.params:
         np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
     assert a.baseline.tolist() == [0.0]
     assert a.carry[0].sum() == 0.0 and a.carry[1].sum() == 0.0
+    # Adam starts over: the next update moves both agents alike
+    for agent in (a, b):
+        z = agent.encode_specific(make_batch(seed=1), np.zeros((D, D)))
+        agent.train_step(agent.propose(z, np.random.default_rng(5), 2), [1.0, -2.0])
+    for k in a.params.params:
+        np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
 
 def test_construction_equal_seeds_identical():

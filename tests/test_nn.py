@@ -224,6 +224,79 @@ def test_adam_skips_params_without_grad():
     assert q.data.tolist() == [2.0]
 
 
+def _per_array_adam(params, grads, m, v, step, lr):
+    """The per-array Adam loop that the packed store replaced, kept as the reference."""
+    c1 = 1.0 - nn._ADAM_BETA1 ** step
+    c2 = 1.0 - nn._ADAM_BETA2 ** step
+    for name, g in grads.items():
+        m[name] *= nn._ADAM_BETA1
+        m[name] += (1.0 - nn._ADAM_BETA1) * g
+        v[name] *= nn._ADAM_BETA2
+        v[name] += (1.0 - nn._ADAM_BETA2) * (g * g)
+        params[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + nn._ADAM_EPS)
+
+
+@pytest.mark.parametrize("block", [7, nn._ADAM_BLOCK])
+def test_packed_adam_matches_per_array_loop(monkeypatch, block):
+    """Bit-for-bit equal to the per-array loop; a parameter without a gradient stays put.
+
+    "frozen" sits between parameters with gradients, so the update covers
+    two runs; a block of 7 values also splits runs inside and across arrays.
+    """
+    monkeypatch.setattr(nn, "_ADAM_BLOCK", block)
+    shapes = {"stack.w": (3, 4, 5), "stack.b": (3, 1, 5), "frozen": (2, 7),
+              "w": (6, 2), "b": (1, 2)}
+    rng = np.random.default_rng(30)
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.standard_normal(shape))
+    store.pack()
+    frozen = store["frozen"].data.copy()
+    ref = {name: store[name].data.copy() for name in shapes}
+    ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for step in range(1, 5):
+        grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3)
+                 for name, shape in shapes.items() if name != "frozen"}
+        store.zero_grad()
+        loss = sum((store[name] * Tensor(g)).sum() for name, g in grads.items())
+        loss.backward()                          # each gradient is g itself
+        adam_step(store, lr=0.01)
+        _per_array_adam(ref, grads, ref_m, ref_v, step, lr=0.01)
+        for name, g in grads.items():
+            assert store[name].grad.tobytes() == g.tobytes()
+        for name in shapes:
+            assert store[name].data.tobytes() == ref[name].tobytes()
+        assert store.m.tobytes() == np.concatenate([a.ravel() for a in ref_m.values()]).tobytes()
+        assert store.v.tobytes() == np.concatenate([a.ravel() for a in ref_v.values()]).tobytes()
+    assert store["frozen"].grad is None
+    assert store["frozen"].data.tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_fanned_out_gradient_is_not_aliased(packed):
+    """a + b hands one upstream array to both leaves; more gradient into a leaves b's alone."""
+    store = ParamStore()
+    a = store.add("a", np.array([1.0, 2.0]))
+    b = store.add("b", np.array([3.0, 4.0]))
+    if packed:
+        store.pack()
+    (a + b).backward(np.array([1.0, 1.0]))
+    (a * 3.0).sum().backward()
+    assert a.grad.tolist() == [4.0, 4.0]
+    assert b.grad.tolist() == [1.0, 1.0]
+
+
+def test_constants_get_no_gradient():
+    """Operands that do not require a gradient are skipped in every backward closure."""
+    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    consts = [Tensor(np.array([[3.0, 4.0]])) for _ in range(4)] + [Tensor(np.ones((2, 1)))]
+    y = concat([(x + consts[0]) - consts[1], consts[2]], axis=0) * consts[3]
+    (y @ consts[4]).sum().backward()
+    assert x.grad.tolist() == [[3.0, 4.0]]
+    assert all(c.grad is None for c in consts)
+
+
 def test_linear_stacked_matches_per_slice():
     """A stacked (w, in, out) linear equals running each slice separately."""
     rng = np.random.default_rng(12)
