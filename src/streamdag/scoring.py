@@ -47,7 +47,7 @@ _CLIMB_TOL = 1e-9
 _SELECT_BYTES = 1 << 20
 # Ridge added to each parent Gram diagonal, so collinear parents still solve.
 _RIDGE_EPS = 1e-8
-# The ordering search keys (node, node set) pairs as node + d * bitmask in int64.
+# The scorer's memo keys (node, node set) pairs as node + d * bitmask in int64.
 MAX_SEARCH_NODES = 57
 
 
@@ -93,6 +93,8 @@ class BatchScorer:
         if x.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-d, got shape {x.shape}")
         n, d = x.shape
+        if d > MAX_SEARCH_NODES:
+            raise ConfigError(f"a scorer handles at most {MAX_SEARCH_NODES} nodes")
         if base is not None:
             if base.d != d or base.cfg.backend != cfg.backend:
                 raise DimensionMismatchError(
@@ -124,58 +126,71 @@ class BatchScorer:
             self._gram += base._gram
             self._xty += base._xty
             self._yty += base._yty
-        # node + d * parent bitmask -> RSS on these statistics; never taken from base
-        self._rss_memo: dict[int, float] = {}
+        colsum = self._gram[0, 1:d + 1]
+        self._cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / n
+        # The two memo tables (see _memo), never taken from base: RSS on exact
+        # parent sets, and the search's selections (term, parent bitmask).
+        self._rss_table = [np.zeros(0, dtype=np.int64), np.zeros(0)]
+        self._selections = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)]
+        self._layout = _insertion_layout(d)
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
         """Residual sum of squares of node on parents, memoised per scorer."""
-        ordered = sorted(set(np.asarray(parents).tolist()))
-        key = node + self.d * sum(1 << p for p in ordered)
-        rss = self._rss_memo.get(key)
-        if rss is None:
-            rss = float(self._solve(np.array([node]), np.array([ordered], dtype=np.int64))[0])
-            self._rss_memo[key] = rss
-        return rss
+        mask = sum(1 << p for p in set(np.asarray(parents).tolist()))
+        return float(self._rss(np.array([node]), np.array([mask], dtype=np.int64))[0])
 
-    def _rss(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """RSS of each node on the parents in its bitmask, through the memo.
+    def _memo(self, table: list[np.ndarray], nodes: np.ndarray, masks: np.ndarray,
+              compute) -> list[np.ndarray]:
+        """The values in ``table`` of (node, bitmask) queries, computing the misses.
 
-        The distinct misses are solved in one stacked solve per parent count.
+        ``table`` holds the sorted keys node + d * mask seen so far, then one
+        array per value in key order.  The distinct keys it lacks go to
+        ``compute(nodes, masks)`` in ascending order, and what it returns
+        (one array per value) is merged in.
         """
         d = self.d
-        memo = self._rss_memo
         keys = nodes + d * masks
-        uniq = np.sort(keys)          # np.unique's first call maps megabytes of code
-        uniq = uniq[np.diff(uniq, prepend=-1) != 0]
-        rss = np.array([memo.get(key, -1.0) for key in uniq.tolist()])   # -1: not seen
-        miss = np.flatnonzero(rss < 0.0)
-        if miss.size:
-            held = ((uniq[miss, None] // d >> np.arange(d)) & 1).astype(bool)
-            count = held.sum(axis=1)
-            by_count = np.argsort(count, kind="stable")
-            for group in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
-                parents = np.nonzero(held[group])[1].reshape(group.size, count[group[0]])
-                rss[miss[group]] = self._solve(uniq[miss[group]] % d, parents)
-            memo.update(zip(uniq[miss].tolist(), rss[miss].tolist()))
-        return rss[np.searchsorted(uniq, keys)]
+        known = table[0]
+        new = np.sort(keys)           # np.unique's first call maps megabytes of code
+        new = new[np.diff(new, prepend=-1) != 0]
+        if known.size:
+            new = new[known[np.minimum(np.searchsorted(known, new), known.size - 1)] != new]
+        if new.size:
+            merged = np.concatenate([known, new])
+            order = np.argsort(merged)
+            table[:] = [merged[order]] + [np.concatenate([old, fresh])[order] for old, fresh
+                                          in zip(table[1:], compute(new % d, new // d))]
+        at = np.searchsorted(table[0], keys)
+        return [values[at] for values in table[1:]]
 
-    def _solve(self, nodes: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        """RSS of each node on its row of ``parents`` (q rows of p ascending nodes)."""
+    def _rss(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """RSS of each node on the parents in its bitmask, through the memo."""
+        return self._memo(self._rss_table, nodes, masks, self._solve)[0]
+
+    def _solve(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray]:
+        """RSS of each node on the parents in its bitmask, in one stacked solve
+        per parent count."""
         d = self.d
-        q, p = parents.shape
-        cols = [np.zeros((q, 1), dtype=np.int64), 1 + parents]
-        if self.cfg.backend == "quadratic":
-            i, j = np.triu_indices(p, 1)
-            cols += [1 + d + parents, self._pair_col[parents[:, i], parents[:, j]]]
-        cols = np.concatenate(cols, axis=1)
-        f = cols.shape[1]
-        s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
-        s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
-        s_xy = self._xty[cols, nodes[:, None]]
-        beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
-        # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
-        rss = self._yty[nodes] - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
-        return np.maximum(rss, 0.0)
+        held = ((masks[:, None] >> np.arange(d)) & 1).astype(bool)
+        count = held.sum(axis=1)
+        rss = np.zeros(len(nodes))
+        by_count = np.argsort(count, kind="stable")
+        for group in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
+            q, p = group.size, count[group[0]]
+            parents = np.nonzero(held[group])[1].reshape(q, p)
+            cols = [np.zeros((q, 1), dtype=np.int64), 1 + parents]
+            if self.cfg.backend == "quadratic":
+                i, j = np.triu_indices(p, 1)
+                cols += [1 + d + parents, self._pair_col[parents[:, i], parents[:, j]]]
+            cols = np.concatenate(cols, axis=1)
+            f = cols.shape[1]
+            s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
+            s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
+            s_xy = self._xty[cols, nodes[group, None]]
+            beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
+            # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
+            rss[group] = self._yty[nodes[group]] - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
+        return (np.maximum(rss, 0.0),)
 
     def score(self, adj: np.ndarray) -> float:
         a = np.asarray(adj)
@@ -229,8 +244,6 @@ class BatchScorer:
         construction.
         """
         d = self.d
-        if d > MAX_SEARCH_NODES:
-            raise ConfigError(f"ordering_search handles at most {MAX_SEARCH_NODES} nodes")
         orders = []
         for start in starts:
             order = [int(v) for v in start]
@@ -240,17 +253,13 @@ class BatchScorer:
         if not orders:
             raise ConfigError("ordering_search needs at least one start ordering")
         orders = np.array(orders)
-        colsum = self._gram[0, 1:d + 1]
-        cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / self.n
-        memo = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)]
-        layout = _insertion_layout(d)
         totals = np.full(len(orders), np.inf)
         climbing = np.arange(len(orders))
         while climbing.size:
-            moved, passed = self._move_terms(orders[climbing], cov, memo, layout)
+            moved, passed = self._move_terms(orders[climbing])
             still = []
             for c, m, p in zip(climbing, moved, passed):
-                new_order, totals[c] = self._apply_moves(orders[c], m, p, layout)
+                new_order, totals[c] = self._apply_moves(orders[c], m, p)
                 if new_order is not None:
                     orders[c] = new_order
                     still.append(c)
@@ -261,12 +270,11 @@ class BatchScorer:
                 best = c
         order = orders[best]
         prefix = np.concatenate([[0], np.cumsum(1 << order)[:-1]])
-        _, parents = self._lookup(cov, order, prefix, memo)
+        _, parents = self._lookup(order, prefix)
         adj = ((parents[:, None] >> np.arange(d)) & 1).T.astype(np.int8)
         return order.tolist(), adj[:, np.argsort(order)]
 
-    def _move_terms(self, orders: np.ndarray, cov: np.ndarray, memo: list[np.ndarray],
-                    layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    def _move_terms(self, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node terms behind every insertion move of each ordering (one per row).
 
         moved[c, i, j] is the term of the node at position i when put back at
@@ -281,7 +289,7 @@ class BatchScorer:
         all others is within reach takes that choice.  The rest is selected.
         """
         d = self.d
-        pos, rest, slot = layout
+        pos, rest, slot = self._layout
         n_orders = len(orders)
         rows = np.arange(n_orders)[:, None]
         bits = 1 << orders                                            # (C, d)
@@ -290,8 +298,8 @@ class BatchScorer:
         # predecessors of the node at position i put back at slot j
         masks = prefix[:, slot] - np.where(pos[None, :] > pos[:, None], bits[:, :, None], 0)
         everyone = prefix[:, d:] - bits
-        terms, parents = self._lookup(cov, np.concatenate([orders, orders]).ravel(),
-                                      np.concatenate([prefix[:, :d], everyone]).ravel(), memo)
+        terms, parents = self._lookup(np.concatenate([orders, orders]).ravel(),
+                                      np.concatenate([prefix[:, :d], everyone]).ravel())
         cur, all_term = terms.reshape(2, n_orders, d)       # in place, and among all others
         keep, all_par = parents.reshape(2, n_orders, d)
         # slot j holds the parents p iff every parent sits before slot j in the rest
@@ -316,17 +324,17 @@ class BatchScorer:
         mc, mi, mj = np.nonzero(np.isnan(moved))
         pc, pi, pk = np.nonzero(np.isnan(passed))
         terms, _ = self._lookup(
-            cov, np.concatenate([orders[mc, mi], orders[pc, rest[pi, pk]]]),
-            np.concatenate([masks[mc, mi, mj], pred[pc, pi, pk] ^ bits[pc, pi]]), memo)
+            np.concatenate([orders[mc, mi], orders[pc, rest[pi, pk]]]),
+            np.concatenate([masks[mc, mi, mj], pred[pc, pi, pk] ^ bits[pc, pi]]))
         moved[mc, mi, mj] = terms[:mc.size]
         passed[pc, pi, pk] = terms[mc.size:]
         return moved, passed
 
-    def _apply_moves(self, order: np.ndarray, moved: np.ndarray, passed: np.ndarray,
-                     layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray | None, float]:
+    def _apply_moves(self, order: np.ndarray, moved: np.ndarray,
+                     passed: np.ndarray) -> tuple[np.ndarray | None, float]:
         """Apply the improving moves of non-overlapping stretches; None if there is none."""
         d = self.d
-        pos, rest, _ = layout
+        pos, rest, _ = self._layout
         cur = np.diagonal(moved).copy()
         run = np.concatenate([np.zeros((d, 1)), np.cumsum(passed - cur[rest], axis=1)], axis=1)
         delta = moved - cur[:, None] + (run - run[pos, pos][:, None]) * np.sign(pos - pos[:, None])
@@ -353,36 +361,20 @@ class BatchScorer:
                 new_order[lo:hi + 1] = np.concatenate([order[i + 1:j + 1], [order[i]]])
         return (new_order if taken else None), total
 
-    def _lookup(self, cov: np.ndarray, nodes: np.ndarray, masks: np.ndarray,
-                memo: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Node terms and parent bitmasks of (node, candidate bitmask) queries.
+    def _lookup(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node terms and parent bitmasks of (node, candidate bitmask) queries,
+        through the selection memo; new queries are selected in chunks, so
+        that _select's Cholesky columns stay within _SELECT_BYTES."""
+        chunk = max(1, _SELECT_BYTES // (8 * self.d * self.d))
 
-        ``memo`` holds the sorted keys node + d * mask seen so far with their
-        terms and parents; new keys are selected in chunks, so that
-        _select's Cholesky columns stay within _SELECT_BYTES.
-        """
-        d = self.d
-        keys = nodes + d * masks
-        known, terms, parents = memo
-        new = np.sort(keys)           # np.unique's first call maps megabytes of code
-        new = new[np.diff(new, prepend=-1) != 0]
-        if known.size:
-            new = new[known[np.minimum(np.searchsorted(known, new), known.size - 1)] != new]
-        if new.size:
-            chunk = max(1, _SELECT_BYTES // (8 * d * d))
-            fresh = [self._select(cov, part % d, part // d)
-                     for part in np.split(new, range(chunk, new.size, chunk))]
-            known = np.concatenate([known, new])
-            order = np.argsort(known)
-            memo[:] = [known[order],
-                       np.concatenate([terms] + [t for t, _ in fresh])[order],
-                       np.concatenate([parents] + [p for _, p in fresh])[order]]
-            known, terms, parents = memo
-        at = np.searchsorted(known, keys)
-        return terms[at], parents[at]
+        def select(nodes, masks):
+            parts = [self._select(nodes[i:i + chunk], masks[i:i + chunk])
+                     for i in range(0, len(nodes), chunk)]
+            return [np.concatenate(values) for values in zip(*parts)]
+        terms, parents = self._memo(self._selections, nodes, masks, select)
+        return terms, parents
 
-    def _select(self, cov: np.ndarray, nodes: np.ndarray,
-                masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """BIC-selected parents of each node among the candidates in its bitmask.
 
         Forward selection adds, one at a time, the candidate that cuts the
@@ -396,6 +388,7 @@ class BatchScorer:
         """
         d = self.d
         n = self.n
+        cov = self._cov
         floor = _RESIDUAL_TOL * np.maximum(np.diag(cov), 0.0)
         bits = 1 << np.arange(d, dtype=np.int64)
         q = len(nodes)
