@@ -5,6 +5,7 @@ from .engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
 from .errors import (
     ConfigError,
     CyclicGraphError,
+    DataRangeError,
     DimensionMismatchError,
     GenerationError,
     InsufficientDataError,
@@ -34,6 +35,7 @@ __all__ = [
     "BatchScorer",
     "ConfigError",
     "CyclicGraphError",
+    "DataRangeError",
     "DimensionMismatchError",
     "EpisodeRecord",
     "GenerationError",

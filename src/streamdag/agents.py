@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
+from .graphs import action_dim
 from .nn import (
     LOG_2PI,
     GaussianPolicy,
@@ -142,8 +143,7 @@ class Agent:
         self.hidden = hidden
         self.lr = lr
         self.gamma = gamma
-        action_len = d * (d + 1)
-        self.slice_sizes = partition_action_space(action_len, workers)
+        self.slice_sizes = partition_action_space(action_dim(d), workers)
         self.max_slice = max(self.slice_sizes)
         mask = np.zeros((workers, 1, self.max_slice))
         for k, size in enumerate(self.slice_sizes):

@@ -24,6 +24,7 @@ import numpy as np
 from .engine import MODES, OnlineConfig, OnlineEngine
 from .errors import (
     ConfigError,
+    DataRangeError,
     DimensionMismatchError,
     InvalidActionError,
     SchemaError,
@@ -305,7 +306,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](opts)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, SchemaError, DimensionMismatchError, InvalidActionError) as exc:
+    except (ConfigError, SchemaError, DimensionMismatchError, InvalidActionError,
+            DataRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .agents import Agent, fuse_actions
-from .errors import ConfigError, DimensionMismatchError
-from .graphs import action_dim, action_to_dag
+from .errors import ConfigError, DataRangeError, DimensionMismatchError
+from .graphs import action_dim, action_to_dag, split_action
 from .scoring import (
     MAX_SEARCH_NODES,
     BatchScorer,
@@ -215,11 +215,6 @@ class OnlineEngine:
         self.batch_in_state = 0
         return self
 
-    def _accumulate_stats(self, x: np.ndarray):
-        self._stat_count += x.shape[0]
-        self._stat_sum += x.sum(axis=0)
-        self._stat_sumsq += (x * x).sum(axis=0)
-
     # -- main loop ----------------------------------------------------------------
 
     def process_batch(self, batch) -> EpisodeRecord:
@@ -230,20 +225,27 @@ class OnlineEngine:
             )
         start = time.perf_counter()
         transition = self.t is not None and (batch.transition or batch.t != self.t)
-        # The scorer is built before any state changes, so a batch it rejects
-        # (too few rows for the state so far) leaves the engine as it was.
+        # The scorer and the state's column sums are built before any state
+        # changes, so a batch they reject (too few rows for the state so far,
+        # or values whose statistics overflow) leaves the engine as it was.
         scorer = (BatchScorer(x, self.cfg.score, base=None if transition else self.state_scorer)
                   if transition or not self.converged else None)
+        stat_sum, stat_sumsq = (0.0, 0.0) if transition else (self._stat_sum, self._stat_sumsq)
+        stat_sum = stat_sum + x.sum(axis=0)
+        stat_sumsq = stat_sumsq + (x * x).sum(axis=0)
+        if not (np.isfinite(stat_sum).all() and np.isfinite(stat_sumsq).all()):
+            raise DataRangeError(f"batch {batch.t}/{batch.l}: the state's column sums of "
+                                 "squares overflow float64")
         if self.t is None:
             self.t = batch.t
         elif transition:
             self.on_state_transition(batch.t)
         self.batch_in_state += 1
 
+        self._stat_count += x.shape[0]
+        self._stat_sum, self._stat_sumsq = stat_sum, stat_sumsq
         if scorer is None:
-            record = self._converged_record(batch, start)
-            self._accumulate_stats(x)
-            return record
+            return self._converged_record(batch, start)
 
         cfg = self.cfg
         self.state_scorer = scorer
@@ -256,8 +258,9 @@ class OnlineEngine:
         self.spec.commit_carry()
 
         a_best, a_spec_best, a_inv_best, fused_best = best
+        order_scores, mask_logits = split_action(fused_best)
         # the incumbent goes first, so it stays on ties
-        episode_order = np.argsort(-fused_best[:self.d], kind="stable")
+        episode_order = np.argsort(-order_scores, kind="stable")
         order, a_est = scorer.ordering_search(
             [self._incumbent, episode_order, self._rng_restart.permutation(self.d)])
         neg_bic = -scorer.score(a_est)
@@ -271,12 +274,11 @@ class OnlineEngine:
         if xi > cfg.xi_threshold:
             self.converged = True
         self.prev_best_dag = a_best
-        self._accumulate_stats(x)
         wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
         self._last = EpisodeRecord(
             t=batch.t, l=batch.l, a_est=a_est, a_spec=a_spec_best, a_inv=a_inv_best,
             best_reward=best_neg_bic, xi=xi, wall_ms=wall_ms, converged=self.converged,
-            edge_scores=fused_best[self.d:].reshape(self.d, self.d),
+            edge_scores=mask_logits,
         )
         return _detached(self._last)
 

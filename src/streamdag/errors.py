@@ -21,6 +21,10 @@ class InsufficientDataError(StreamDagError):
     """Too few observations for the requested computation."""
 
 
+class DataRangeError(StreamDagError):
+    """Batch values whose sums or products do not fit in float64."""
+
+
 class SchemaError(StreamDagError):
     """Malformed stream or results input; carries the offending line number,
     or a label such as "sidecar entry 3"."""

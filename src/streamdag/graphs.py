@@ -46,6 +46,13 @@ def validate_action(a: np.ndarray) -> int:
     return d
 
 
+def split_action(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d ordering scores and the d x d mask logits of an action, as views;
+    a (k, d(d+1)) stack gives (k, d) scores and (k, d, d) logits."""
+    d = nodes_from_action_dim(a.shape[-1])
+    return a[..., :d], a[..., d:].reshape(a.shape[:-1] + (d, d))
+
+
 def action_to_dag(a: np.ndarray) -> np.ndarray:
     """Map a real vector of length d(d+1) to a binary acyclic adjacency matrix.
 
@@ -55,9 +62,8 @@ def action_to_dag(a: np.ndarray) -> np.ndarray:
     stack of actions maps to a (k, d, d) stack of DAGs.
     """
     a = np.asarray(a, dtype=float)
-    d = validate_action(a)
-    h = a[..., :d]
-    logits = a[..., d:].reshape(a.shape[:-1] + (d, d))
+    validate_action(a)
+    h, logits = split_action(a)
     order = h[..., :, None] > h[..., None, :]      # strict, so the diagonal is 0
     return (order & (logits > 0.0)).astype(np.int8)
 

@@ -10,14 +10,20 @@ better; the engine negates it into a reward.  The quadratic backend adds
 squares and pairwise products of the parents to the regressors.  A
 BatchScorer holds the Gram matrix of those rows, so it scores any DAG in
 O(d) small solves, and a batch's scorer extends the state's earlier one.
-The node regressions are memoised per scorer; BatchScorer.score_many scores
-the k DAGs of a policy update in one call, with one stacked solve per
-parent count for the regressions it has not seen.
+It rejects rows whose sums of squares and products overflow float64.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
 the BIC-selected parents among its predecessors, and the ordering is
 hill-climbed with insertion moves.
+
+One memo routine (BatchScorer._memo) serves every query on a scorer's
+statistics, keyed node + d * parent bitmask.  It keeps two tables on the
+scorer: the RSS of exact parent sets, behind score, score_many and
+node_rss, and the search's selections among candidate sets, so a second
+search on the same scorer starts warm.  score_many scores the k DAGs of a
+policy update in one call, with one stacked solve per parent count for the
+regressions the memo lacks.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     CyclicGraphError,
+    DataRangeError,
     DimensionMismatchError,
     InsufficientDataError,
 )
@@ -128,6 +135,8 @@ class BatchScorer:
             self._yty += base._yty
         colsum = self._gram[0, 1:d + 1]
         self._cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / n
+        if not all(np.isfinite(a).all() for a in (self._gram, self._xty, self._yty, self._cov)):
+            raise DataRangeError("the rows' sums of squares and products overflow float64")
         # The two memo tables (see _memo), never taken from base: RSS on exact
         # parent sets, and the search's selections (term, parent bitmask).
         self._rss_table = [np.zeros(0, dtype=np.int64), np.zeros(0)]
@@ -165,9 +174,10 @@ class BatchScorer:
 
     def _rss(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """RSS of each node on the parents in its bitmask, through the memo."""
-        return self._memo(self._rss_table, nodes, masks, self._solve)[0]
+        return self._memo(self._rss_table, nodes, masks,
+                          lambda nodes, masks: [self._solve(nodes, masks)])[0]
 
-    def _solve(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray]:
+    def _solve(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """RSS of each node on the parents in its bitmask, in one stacked solve
         per parent count."""
         d = self.d
@@ -187,10 +197,13 @@ class BatchScorer:
             s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
             s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
             s_xy = self._xty[cols, nodes[group, None]]
-            beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
+            try:
+                beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:   # collinear parents, the ridge below rounding
+                beta = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(s_xx, s_xy)])
             # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
             rss[group] = self._yty[nodes[group]] - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
-        return (np.maximum(rss, 0.0),)
+        return np.maximum(rss, 0.0)
 
     def score(self, adj: np.ndarray) -> float:
         a = np.asarray(adj)

@@ -14,6 +14,7 @@ from streamdag.graphs import (
     matrix_to_lists,
     nodes_from_action_dim,
     random_dag,
+    split_action,
     topological_order,
 )
 
@@ -35,6 +36,19 @@ def test_action_to_dag_worked_example():
     a = np.array([0.3, -1.2, 5.0, 1.0, 2.0, -0.5])
     adj = action_to_dag(a)
     assert adj.tolist() == [[0, 1], [0, 0]]
+
+
+def test_split_action_gives_ordering_scores_and_mask_logits():
+    a = np.array([0.3, -1.2, 5.0, 1.0, 2.0, -0.5])
+    scores, logits = split_action(a)
+    assert scores.tolist() == [0.3, -1.2]
+    assert logits.tolist() == [[5.0, 1.0], [2.0, -0.5]]
+    stack = np.stack([a, -a])
+    scores, logits = split_action(stack)
+    assert scores.shape == (2, 2) and logits.shape == (2, 2, 2)
+    assert logits[1].tolist() == [[-5.0, -1.0], [-2.0, 0.5]]
+    with pytest.raises(InvalidActionError):
+        split_action(np.zeros(7))
 
 
 def test_action_to_dag_tie_drops_both_directions():

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
+from streamdag.errors import (
+    ConfigError,
+    DataRangeError,
+    DimensionMismatchError,
+    InsufficientDataError,
+)
 from streamdag.graphs import complement, random_dag, topological_order
 from streamdag.scoring import (
     BACKENDS,
@@ -161,6 +166,56 @@ def test_ordering_search_dag_follows_its_ordering():
         # the climb stopped at a local optimum: restarting there changes nothing
         again, dag_again = scorer.ordering_search([order])
         assert again == order and np.array_equal(dag_again, dag)
+
+
+def test_searches_and_node_rss_share_the_scorer_memo(monkeypatch):
+    """The selections and the regressions live on the scorer: a second search
+    selects nothing, and node_rss solves nothing that score_many solved."""
+    rng, _, x = _ordering_case(60)
+    scorer = BatchScorer(x, ScoreConfig())
+    starts = [rng.permutation(8) for _ in range(3)]
+    order, dag = scorer.ordering_search(starts)
+    calls = []
+    for name in ("_select", "_solve"):
+        method = getattr(scorer, name)
+        monkeypatch.setattr(scorer, name, lambda *args, name=name, method=method: (
+            calls.append(name), method(*args))[1])
+    again, dag_again = scorer.ordering_search(starts)
+    assert again == order and np.array_equal(dag_again, dag)
+    assert "_select" not in calls
+    stack = np.stack([dag, random_dag(8, 0.4, rng)])
+    scorer.score_many(stack)
+    calls.clear()
+    for adj in stack:
+        for j in range(8):
+            scorer.node_rss(j, np.flatnonzero(adj[:, j]))
+        scorer.score(adj)
+    assert calls == []
+
+
+def test_scorer_rejects_statistics_that_overflow():
+    rng = np.random.default_rng(61)
+    x = 1e100 * rng.standard_normal((30, 3))
+    assert np.isfinite(BatchScorer(x, ScoreConfig()).score(np.zeros((3, 3))))
+    with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
+        BatchScorer(x, ScoreConfig(backend="quadratic"))      # fourth powers overflow
+    base = BatchScorer(1e153 * rng.standard_normal((30, 3)), ScoreConfig())
+    with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
+        BatchScorer(1e154 * rng.standard_normal((30, 3)), ScoreConfig(), base=base)
+
+
+def test_collinear_parents_below_the_ridge_still_solve():
+    """Two columns, 0 in the first rows and constant after, are collinear at
+    a scale where the ridge falls below rounding: the normal equations are
+    singular, and the regression falls back to least squares."""
+    rng = np.random.default_rng(62)
+    first = rng.standard_normal((6, 4))
+    first[:, 2:] = 0.0
+    second = rng.standard_normal((4, 4))
+    second[:, 2], second[:, 3] = 3345.0, 125001.0
+    scorer = BatchScorer(second, ScoreConfig(), base=BatchScorer(first, ScoreConfig()))
+    both = scorer.node_rss(0, np.array([2, 3]))
+    assert both == pytest.approx(scorer.node_rss(0, np.array([2])), rel=1e-6)
 
 
 def test_ordering_search_from_the_true_ordering_keeps_the_truth():
