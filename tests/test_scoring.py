@@ -199,9 +199,12 @@ def test_scorer_rejects_statistics_that_overflow():
     assert np.isfinite(BatchScorer(x, ScoreConfig()).score(np.zeros((3, 3))))
     with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
         BatchScorer(x, ScoreConfig(backend="quadratic"))      # fourth powers overflow
-    base = BatchScorer(1e153 * rng.standard_normal((30, 3)), ScoreConfig())
+    # rows of +-2e153 about a zero mean: one batch's sums of squares are 1.2e308,
+    # and extending it with the same rows doubles them past the float64 range
+    x = 2e153 * np.where(np.arange(30) % 2, 1.0, -1.0)[:, None] * np.ones(3)
+    base = BatchScorer(x, ScoreConfig())
     with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
-        BatchScorer(1e154 * rng.standard_normal((30, 3)), ScoreConfig(), base=base)
+        BatchScorer(x, ScoreConfig(), base=base)
 
 
 def test_collinear_parents_below_the_ridge_still_solve():
