@@ -109,8 +109,6 @@ def _build_parser() -> tuple[_Parser, dict[str, dict]]:
     flag(p, "--seed", typ=int, default=0)
     flag(p, "--score", choices=sorted(BACKENDS), default="linear", helptext="regression family for the fit score")
     flag(p, "--lr", typ=float, default=0.01)
-    flag(p, "--embed", typ=int, default=None, helptext="embedding width override")
-    flag(p, "--hidden", typ=int, default=None, helptext="hidden width override")
     flag(p, "--no-timing", typ=bool, default=False, helptext="write wall_ms as 0.0 for byte-stable output")
 
     p = command("eval", "score results against ground truth")
@@ -197,8 +195,7 @@ def _cmd_run(opts: dict) -> int:
     cfg = OnlineConfig(beta=opts["beta"], xi_threshold=opts["xi_threshold"],
                        episodes_per_batch=opts["episodes"], mode=opts["mode"],
                        workers=opts["workers"], seed=opts["seed"], score=score,
-                       lr=opts["lr"], gamma=opts["gamma"], embed=opts["embed"],
-                       hidden=opts["hidden"], timing=not opts["no_timing"])
+                       lr=opts["lr"], gamma=opts["gamma"], timing=not opts["no_timing"])
     source = sys.stdin if opts["stream"] == "-" else opts["stream"]
     batches = read_stream(source, sidecar=opts["sidecar"])
     first = next(iter(batches), None)

@@ -65,8 +65,6 @@ class OnlineConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
     lr: float = 0.01
     gamma: float = 0.99
-    embed: int | None = None      # None -> max(16, 64 // workers)
-    hidden: int | None = None
     timing: bool = True           # False writes wall_ms = 0.0 for byte-stable output
 
     def __post_init__(self):
@@ -87,12 +85,6 @@ class OnlineConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
-    def width(self) -> int:
-        return self.embed if self.embed is not None else max(16, 64 // self.workers)
-
-    def hidden_width(self) -> int:
-        return self.hidden if self.hidden is not None else max(16, 64 // self.workers)
-
 
 @dataclass
 class EpisodeRecord:
@@ -100,14 +92,10 @@ class EpisodeRecord:
 
     a_est is the estimate and best_reward the negated BIC of a_est on the
     state's rows so far (on a converged record: up to the state's last
-    learning batch).  a_spec, a_inv and edge_scores come from the batch's
-    best episode, and xi is the similarity between the fused DAGs of the
-    best episodes of this and the state's previous learning batch: 0 on a
-    state's first batch, 1 on a converged record.
-
-    edge_scores are the best episode's fused mask logits, not scores of
-    a_est: the estimate mostly comes from the ordering search, so an AUROC
-    over edge_scores rates the policy, not the estimate.
+    learning batch).  a_spec and a_inv come from the batch's best episode,
+    and xi is the similarity between the fused DAGs of the best episodes of
+    this and the state's previous learning batch: 0 on a state's first
+    batch, 1 on a converged record.
     """
 
     t: int
@@ -119,7 +107,6 @@ class EpisodeRecord:
     xi: float
     wall_ms: float
     converged: bool
-    edge_scores: np.ndarray | None = None
 
 
 def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
@@ -150,7 +137,7 @@ def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
 
 def _detached(rec: EpisodeRecord, **changes) -> EpisodeRecord:
     """rec with changes applied, sharing no array with rec."""
-    for name in ("a_est", "a_spec", "a_inv", "edge_scores"):
+    for name in ("a_est", "a_spec", "a_inv"):
         if getattr(rec, name) is not None:
             changes[name] = getattr(rec, name).copy()
     return replace(rec, **changes)
@@ -168,14 +155,13 @@ class OnlineEngine:
             )
         self.d = d
         self.cfg = cfg
-        embed = cfg.width()
-        hidden = cfg.hidden_width()
+        width = max(16, 64 // cfg.workers)     # embedding and hidden width
         root = np.random.SeedSequence(cfg.seed)
         spec_init, inv_init, spec_sample, inv_sample, restarts = root.spawn(5)
-        self.spec = Agent("specific", d, cfg.workers, embed, hidden,
+        self.spec = Agent("specific", d, cfg.workers, width, width,
                           cfg.lr, cfg.gamma, spec_init)
         self.dual = cfg.mode != "marlin-s"
-        self.inv = (Agent("invariant", d, cfg.workers, embed, hidden,
+        self.inv = (Agent("invariant", d, cfg.workers, width, width,
                           cfg.lr, cfg.gamma, inv_init) if self.dual else None)
         self._rng_spec = np.random.default_rng(spec_sample)
         self._rng_inv = np.random.default_rng(inv_sample)
@@ -231,8 +217,9 @@ class OnlineEngine:
         scorer = (BatchScorer(x, self.cfg.score, base=None if transition else self.state_scorer)
                   if transition or not self.converged else None)
         stat_sum, stat_sumsq = (0.0, 0.0) if transition else (self._stat_sum, self._stat_sumsq)
-        stat_sum = stat_sum + x.sum(axis=0)
-        stat_sumsq = stat_sumsq + (x * x).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stat_sum = stat_sum + x.sum(axis=0)
+            stat_sumsq = stat_sumsq + (x * x).sum(axis=0)
         if not (np.isfinite(stat_sum).all() and np.isfinite(stat_sumsq).all()):
             raise DataRangeError(f"batch {batch.t}/{batch.l}: the state's column sums of "
                                  "squares overflow float64")
@@ -258,7 +245,7 @@ class OnlineEngine:
         self.spec.commit_carry()
 
         a_best, a_spec_best, a_inv_best, fused_best = best
-        order_scores, mask_logits = split_action(fused_best)
+        order_scores, _ = split_action(fused_best)
         # the incumbent goes first, so it stays on ties
         episode_order = np.argsort(-order_scores, kind="stable")
         order, a_est = scorer.ordering_search(
@@ -278,7 +265,6 @@ class OnlineEngine:
         self._last = EpisodeRecord(
             t=batch.t, l=batch.l, a_est=a_est, a_spec=a_spec_best, a_inv=a_inv_best,
             best_reward=best_neg_bic, xi=xi, wall_ms=wall_ms, converged=self.converged,
-            edge_scores=mask_logits,
         )
         return _detached(self._last)
 

@@ -216,8 +216,6 @@ def record_to_dict(record) -> dict:
         "xi": float(record.xi),
         "wall_ms": float(record.wall_ms),
         "converged": bool(record.converged),
-        "edge_scores": (None if record.edge_scores is None
-                        else [[float(v) for v in row] for row in record.edge_scores]),
     }
 
 

@@ -161,9 +161,12 @@ def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
     return mistakes
 
 
-def structure_metrics(a_true: np.ndarray, a_est: np.ndarray,
-                      edge_scores: np.ndarray | None = None) -> StructureReport:
-    """TPR/FDR/F1/AUROC/SHD/SID of an estimated DAG against the truth."""
+def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
+    """TPR/FDR/F1/AUROC/SHD/SID of an estimated DAG against the truth.
+
+    AUROC ranks the off-diagonal cells by the estimate itself, so for a 0/1
+    estimate it is (TPR + TNR) / 2.
+    """
     d = _check_pair(a_true, a_est)
     t = np.asarray(a_true, dtype=bool)
     e = np.asarray(a_est, dtype=bool)
@@ -178,16 +181,7 @@ def structure_metrics(a_true: np.ndarray, a_est: np.ndarray,
     recall = tpr
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else 0.0)
-    if edge_scores is None:
-        scores = e[off].astype(float)
-    else:
-        scores = np.asarray(edge_scores, dtype=float)
-        if scores.shape != (d, d):
-            raise DimensionMismatchError(
-                f"edge_scores shape {scores.shape} does not match d={d}"
-            )
-        scores = scores[off]
-    roc = auroc_score(t[off], scores)
+    roc = auroc_score(t[off], e[off])
     return StructureReport(tpr=float(tpr), fdr=float(fdr), f1=float(f1),
                            auroc=roc, shd=shd(a_true, a_est), sid=sid(a_true, a_est))
 
@@ -243,13 +237,8 @@ def summarize_run(results: list[dict], truth: dict) -> dict:
     for t in range(1, int(truth["m"]) + 1):
         if t not in finals:
             raise InsufficientDataError(f"results contain no records for state {t}")
-        rec = finals[t]
-        scores = rec.get("edge_scores")
-        report = structure_metrics(
-            truth["adjacencies"][t - 1],
-            np.asarray(rec["a_est"], dtype=np.int8),
-            None if scores is None else np.asarray(scores, dtype=float),
-        )
+        report = structure_metrics(truth["adjacencies"][t - 1],
+                                   np.asarray(finals[t]["a_est"], dtype=np.int8))
         report.atb_ms = atb([r for r in results if int(r["t"]) == t])
         states.append(report)
     rows = [s.as_dict() for s in states]

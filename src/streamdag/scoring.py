@@ -114,27 +114,29 @@ class BatchScorer:
         self.cfg = cfg
         self.n = n
         self.d = d
-        self._origin = x.mean(axis=0) if base is None else base._origin
-        x = x - self._origin
-        cols = [np.ones((x.shape[0], 1)), x]
         # feature column index: 0 intercept, 1..d linear, then squares, then
         # pairs; _pair_col[i, j] (i < j) is the column of x_i * x_j
         self._pair_col = np.zeros((d, d), dtype=np.int64)
-        if cfg.backend == "quadratic":
-            cols.append(x * x)
-            i, j = np.triu_indices(d, 1)
-            self._pair_col[i, j] = 1 + 2 * d + np.arange(i.size)
-            cols.append(x[:, i] * x[:, j])
-        phi = np.concatenate(cols, axis=1)
-        self._gram = phi.T @ phi
-        self._xty = phi.T @ x  # cross terms against every target column
-        self._yty = np.einsum("ij,ij->j", x, x)
-        if base is not None:
-            self._gram += base._gram
-            self._xty += base._xty
-            self._yty += base._yty
-        colsum = self._gram[0, 1:d + 1]
-        self._cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / n
+        # statistics that overflow are rejected below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._origin = x.mean(axis=0) if base is None else base._origin
+            x = x - self._origin
+            cols = [np.ones((x.shape[0], 1)), x]
+            if cfg.backend == "quadratic":
+                cols.append(x * x)
+                i, j = np.triu_indices(d, 1)
+                self._pair_col[i, j] = 1 + 2 * d + np.arange(i.size)
+                cols.append(x[:, i] * x[:, j])
+            phi = np.concatenate(cols, axis=1)
+            self._gram = phi.T @ phi
+            self._xty = phi.T @ x  # cross terms against every target column
+            self._yty = np.einsum("ij,ij->j", x, x)
+            if base is not None:
+                self._gram += base._gram
+                self._xty += base._xty
+                self._yty += base._yty
+            colsum = self._gram[0, 1:d + 1]
+            self._cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / n
         if not all(np.isfinite(a).all() for a in (self._gram, self._xty, self._yty, self._cov)):
             raise DataRangeError("the rows' sums of squares and products overflow float64")
         # The two memo tables (see _memo), never taken from base: RSS on exact

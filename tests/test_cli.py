@@ -8,6 +8,7 @@ import pytest
 
 from streamdag.cli import main
 from streamdag.io import read_results, read_truth, write_results, write_stream
+from streamdag.metrics import auroc_score
 from streamdag.synth import SynthConfig, generate
 
 
@@ -82,6 +83,25 @@ def test_run_then_eval_pipeline(tmp_path, capsys):
     assert len(report["states"]) == 2
 
 
+def test_eval_auroc_rates_the_emitted_estimate(tmp_path, capsys):
+    assert main(_synth_args(tmp_path, seed=11)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "4",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    lines = (tmp_path / "r.jsonl").read_text().splitlines()
+    assert lines and all("edge_scores" not in json.loads(line) for line in lines)
+    assert main(["eval", "--results", str(tmp_path / "r.jsonl"),
+                 "--truth", str(tmp_path / "t.json"),
+                 "--json", str(tmp_path / "report.json")]) == 0
+    truth = read_truth(tmp_path / "t.json")
+    finals = {row["t"]: row for row in read_results(tmp_path / "r.jsonl")}
+    off = ~np.eye(4, dtype=bool)
+    states = json.loads((tmp_path / "report.json").read_text())["states"]
+    assert len(states) == 2
+    for t, state in enumerate(states, start=1):
+        est = np.asarray(finals[t]["a_est"])
+        assert state["auroc"] == auroc_score(truth["adjacencies"][t - 1][off], est[off])
+
+
 def test_eval_perfect_results_shows_zero_shd(tmp_path, capsys):
     assert main(_synth_args(tmp_path)) == 0
     truth = read_truth(tmp_path / "t.json")
@@ -89,7 +109,7 @@ def test_eval_perfect_results_shows_zero_shd(tmp_path, capsys):
     for t in (1, 2):
         rows.append({"t": t, "l": 2, "a_est": truth["adjacencies"][t - 1].tolist(),
                      "a_spec": None, "a_inv": None, "best_reward": 0.0, "xi": 1.0,
-                     "wall_ms": 1.0, "converged": True, "edge_scores": None})
+                     "wall_ms": 1.0, "converged": True})
     write_results(rows, tmp_path / "perfect.jsonl")
     assert main(["eval", "--results", str(tmp_path / "perfect.jsonl"),
                  "--truth", str(tmp_path / "t.json")]) == 0

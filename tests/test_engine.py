@@ -139,7 +139,6 @@ def test_first_batch_record_fields():
     assert not rec.converged
     assert rec.a_est.shape == (2, 2)
     assert rec.a_spec is not None and rec.a_inv is not None
-    assert rec.edge_scores is not None and rec.edge_scores.shape == (2, 2)
     assert rec.wall_ms > 0.0
 
 
@@ -315,7 +314,6 @@ def test_records_share_no_array_with_the_engine():
         converged += rec.converged and rec.xi == 1.0
         for a in (rec.a_est, rec.a_spec, rec.a_inv):
             a[...] = 1 - a
-        rec.edge_scores[...] = np.nan
     assert converged == 2                             # the third batch of each state
 
 

@@ -51,13 +51,14 @@ def _check(rec):
     assert np.isfinite(rec.best_reward)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_first_batch_is_rejected_before_learning():
     rng = np.random.default_rng(0)
     eng = OnlineEngine(4, OnlineConfig(episodes_per_batch=4, seed=0))
     x = rng.standard_normal((30, 4))
     x[:, 1] *= 1e200
     before = _snapshot(eng)
-    with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DataRangeError):
         eng.process_batch(StreamBatch(t=1, l=1, transition=False, x=x))
     _assert_unchanged(before, _snapshot(eng))
     for l in (1, 2):
@@ -65,6 +66,7 @@ def test_overflowing_first_batch_is_rejected_before_learning():
                                              x=rng.standard_normal((30, 4)))))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_batch_on_the_early_exit_path_is_rejected():
     """A converged engine scores nothing, but the state's running sums would
     take the row's square and carry inf into the next state's summary."""
@@ -76,7 +78,7 @@ def test_overflowing_batch_on_the_early_exit_path_is_rejected():
     x = rng.standard_normal((30, 3))
     x[0, 1] = 2e155
     before = _snapshot(eng)
-    with pytest.raises(DataRangeError), np.errstate(over="ignore"):
+    with pytest.raises(DataRangeError):
         eng.process_batch(StreamBatch(t=1, l=3, transition=False, x=x))
     _assert_unchanged(before, _snapshot(eng))
     for t, l in ((1, 3), (2, 1), (2, 2)):
@@ -98,16 +100,17 @@ def test_constant_columns_collinear_after_a_zero_batch_are_processed():
         _check(eng.process_batch(StreamBatch(t=1, l=l, transition=False, x=x)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_reports_an_overflowing_stream_as_invalid_input(tmp_path, capsys):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((30, 3))
     x[:, 0] *= 1e200
     stream = tmp_path / "s.jsonl"
     write_stream([StreamBatch(t=1, l=1, transition=False, x=x)], str(stream))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--stream", str(stream), "--out", str(tmp_path / "r.jsonl"),
-                     "--episodes", "2"]) == 1
-    assert "overflow" in capsys.readouterr().err
+    assert main(["run", "--stream", str(stream), "--out", str(tmp_path / "r.jsonl"),
+                 "--episodes", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Warning" not in err
 
 
 def _column(draw, z):

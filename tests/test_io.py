@@ -193,8 +193,7 @@ def test_width_drift_error():
 def _record(t, l):
     a = np.array([[0, 1], [0, 0]], dtype=np.int8)
     return EpisodeRecord(t=t, l=l, a_est=a, a_spec=a, a_inv=None, best_reward=-3.5,
-                         xi=0.25, wall_ms=1.5, converged=False,
-                         edge_scores=np.array([[0.0, 2.0], [-1.0, 0.0]]))
+                         xi=0.25, wall_ms=1.5, converged=False)
 
 
 def test_results_roundtrip_and_flush(tmp_path):
@@ -214,7 +213,6 @@ def test_results_roundtrip_and_flush(tmp_path):
     assert [r["l"] for r in rows] == [1, 2]
     assert rows[0]["a_est"] == [[0, 1], [0, 0]]
     assert rows[0]["a_inv"] is None
-    assert rows[0]["edge_scores"] == [[0.0, 2.0], [-1.0, 0.0]]
     # dict input writes the same bytes as record input
     path1, path2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_results([_record(1, 1)], path1)

@@ -97,17 +97,6 @@ def test_structure_metrics_degenerate_conventions():
     assert rep.shd == 2
 
 
-def test_structure_metrics_uses_edge_scores_for_auroc():
-    empty = np.zeros((3, 3), dtype=np.int8)
-    scores = np.zeros((3, 3))
-    scores[0, 1], scores[1, 2] = 3.0, 2.0     # true edges outrank everything
-    rep = structure_metrics(CHAIN3, empty, edge_scores=scores)
-    assert rep.auroc == 1.0
-    assert rep.tpr == 0.0                     # binary metrics still use the estimate
-    with pytest.raises(DimensionMismatchError):
-        structure_metrics(CHAIN3, empty, edge_scores=np.zeros((2, 2)))
-
-
 def test_descendants_matches_oracle():
     rng = np.random.default_rng(2)
     for _ in range(30):
@@ -206,7 +195,7 @@ def test_summarize_run_perfect_results():
     for t in (1, 2):
         for l in (1, 2):
             results.append({"t": t, "l": l, "a_est": CHAIN3.tolist(),
-                            "wall_ms": 4.0, "edge_scores": None})
+                            "wall_ms": 4.0})
     summary = summarize_run(results, truth)
     assert [s["shd"] for s in summary["states"]] == [0, 0]
     assert summary["average"]["tpr"] == 1.0

@@ -193,17 +193,18 @@ def test_searches_and_node_rss_share_the_scorer_memo(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scorer_rejects_statistics_that_overflow():
     rng = np.random.default_rng(61)
     x = 1e100 * rng.standard_normal((30, 3))
     assert np.isfinite(BatchScorer(x, ScoreConfig()).score(np.zeros((3, 3))))
-    with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DataRangeError):
         BatchScorer(x, ScoreConfig(backend="quadratic"))      # fourth powers overflow
     # rows of +-2e153 about a zero mean: one batch's sums of squares are 1.2e308,
     # and extending it with the same rows doubles them past the float64 range
     x = 2e153 * np.where(np.arange(30) % 2, 1.0, -1.0)[:, None] * np.ones(3)
     base = BatchScorer(x, ScoreConfig())
-    with pytest.raises(DataRangeError), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DataRangeError):
         BatchScorer(x, ScoreConfig(), base=base)
 
 
