@@ -132,15 +132,14 @@ class Agent:
     agent's (detached) embedding.
     """
 
-    def __init__(self, kind: str, d: int, workers: int, embed: int, hidden: int,
+    def __init__(self, kind: str, d: int, workers: int, width: int,
                  lr: float, gamma: float, seed_seq: np.random.SeedSequence):
         if kind not in KINDS:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {kind!r}")
         self.kind = kind
         self.d = d
         self.workers = workers
-        self.embed = embed
-        self.hidden = hidden
+        self.width = width                # embedding and hidden width
         self.lr = lr
         self.gamma = gamma
         self.slice_sizes = partition_action_space(action_dim(d), workers)
@@ -155,26 +154,24 @@ class Agent:
     # -- construction --------------------------------------------------------
 
     def _build(self, rng: np.random.Generator, reuse: ParamStore | None = None):
-        d, w, emb, hid = self.d, self.workers, self.embed, self.hidden
+        d, w, width = self.d, self.workers, self.width
         store = ParamStore()
         stack = (w,)
         if self.kind == "specific":
-            self.proj = Linear(store, "proj", stack, 4, emb, rng)
-            self.lstm = LSTMCell(store, "lstm", stack, emb, hid, rng)
-            gcn_in = emb + hid
-            self.carry = (np.zeros((w, 1, hid)), np.zeros((w, 1, hid)))
-            self._pending_carry = None
+            self.proj = Linear(store, "proj", stack, 4, width, rng)
+            self.lstm = LSTMCell(store, "lstm", stack, width, width, rng)
+            self.carry = (np.zeros((w, 1, width)), np.zeros((w, 1, width)))
         else:
-            self.proj = Linear(store, "proj", stack, 2, emb, rng)
+            self.proj = Linear(store, "proj", stack, 2, width, rng)
             self.lstm = None
-            gcn_in = 2 * emb
             self.carry = None
-            self._pending_carry = None
-        self.gcn = GCNLayer(store, "gcn", stack, gcn_in, emb, rng)
-        self.dec1 = Linear(store, "dec1", stack, d * emb, hid, rng)
-        self.dec2 = Linear(store, "dec2", stack, hid, 2 * self.max_slice, rng, gain=0.1)
-        self.critic1 = Linear(store, "critic1", stack, emb, hid, rng)
-        self.critic2 = Linear(store, "critic2", stack, hid, 1, rng)
+        self._pending_carry = None
+        # either kind's GCN reads its projection next to one more width-wide input
+        self.gcn = GCNLayer(store, "gcn", stack, 2 * width, width, rng)
+        self.dec1 = Linear(store, "dec1", stack, d * width, width, rng)
+        self.dec2 = Linear(store, "dec2", stack, width, 2 * self.max_slice, rng, gain=0.1)
+        self.critic1 = Linear(store, "critic1", stack, width, width, rng)
+        self.critic2 = Linear(store, "critic2", stack, width, 1, rng)
         store.pack(reuse)
         self.params = store
         self.baseline = np.zeros(self.workers)
@@ -195,13 +192,13 @@ class Agent:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DimensionMismatchError(f"batch shape {x.shape} does not match d={self.d}")
         stats = batch_stats(x)                        # (d, 4)
-        proj = self.proj(Tensor(stats)).tanh()        # (w, d, emb)
-        pooled = proj.mean(axis=1, keepdims=True)     # (w, 1, emb)
+        proj = self.proj(Tensor(stats)).tanh()        # (w, d, width)
+        pooled = proj.mean(axis=1, keepdims=True)     # (w, 1, width)
         h_prev = Tensor(self.carry[0])
         c_prev = Tensor(self.carry[1])
         h, (h_new, c_new) = self.lstm(pooled, (h_prev, c_prev))
         self._pending_carry = (h_new.data.copy(), c_new.data.copy())
-        spread = h.broadcast_to((self.workers, self.d, self.hidden))
+        spread = h.broadcast_to((self.workers, self.d, self.width))
         feats = concat([proj, spread], axis=-1)
         return self.gcn(feats, gcn_normalize(prev_dag))
 
@@ -222,9 +219,9 @@ class Agent:
                 f"previous-state summary must be ({self.d}, 2), got {summary.shape}"
             )
         squashed = np.sign(summary) * np.log1p(np.abs(summary))
-        proj = self.proj(Tensor(squashed)).tanh()     # (w, d, emb)
+        proj = self.proj(Tensor(squashed)).tanh()     # (w, d, width)
         z_const = z_specific.detach()
-        if z_const.data.shape != (self.workers, self.d, self.embed):
+        if z_const.data.shape != (self.workers, self.d, self.width):
             raise DimensionMismatchError(
                 f"specific embedding shape {z_const.data.shape} does not match agent"
             )
@@ -235,7 +232,7 @@ class Agent:
 
     def _policy(self, z: Tensor) -> GaussianPolicy:
         """Decode the (w, 1, max_slice) diagonal-Gaussian policy from the embedding."""
-        flat = z.reshape(self.workers, 1, self.d * self.embed)
+        flat = z.reshape(self.workers, 1, self.d * self.width)
         out = self.dec2(self.dec1(flat).tanh())        # (w, 1, 2 * max_slice)
         return GaussianPolicy(out.narrow(-1, 0, self.max_slice),
                               out.narrow(-1, self.max_slice, self.max_slice))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,17 +93,15 @@ class EpisodeRecord:
 
     a_est is the estimate and best_reward the negated BIC of a_est on the
     state's rows so far (on a converged record: up to the state's last
-    learning batch).  a_spec and a_inv come from the batch's best episode,
-    and xi is the similarity between the fused DAGs of the best episodes of
-    this and the state's previous learning batch: 0 on a state's first
-    batch, 1 on a converged record.
+    learning batch).  xi is the similarity between the fused DAGs of the
+    best episodes of this and the state's previous learning batch: 0 on a
+    state's first batch, 1 on a converged record.  The agents' own DAGs
+    stay in the engine (OnlineEngine.best_dags).
     """
 
     t: int
     l: int
     a_est: np.ndarray
-    a_spec: np.ndarray | None
-    a_inv: np.ndarray | None
     best_reward: float
     xi: float
     wall_ms: float
@@ -135,12 +134,18 @@ def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
     return float(1.0 - js.mean())
 
 
+class EpisodeDags(NamedTuple):
+    """DAGs of a learning batch's best episode: the fused DAG and each
+    agent's own (invariant is None under marlin-s)."""
+
+    fused: np.ndarray
+    specific: np.ndarray
+    invariant: np.ndarray | None
+
+
 def _detached(rec: EpisodeRecord, **changes) -> EpisodeRecord:
     """rec with changes applied, sharing no array with rec."""
-    for name in ("a_est", "a_spec", "a_inv"):
-        if getattr(rec, name) is not None:
-            changes[name] = getattr(rec, name).copy()
-    return replace(rec, **changes)
+    return replace(rec, a_est=rec.a_est.copy(), **changes)
 
 
 class OnlineEngine:
@@ -158,19 +163,18 @@ class OnlineEngine:
         width = max(16, 64 // cfg.workers)     # embedding and hidden width
         root = np.random.SeedSequence(cfg.seed)
         spec_init, inv_init, spec_sample, inv_sample, restarts = root.spawn(5)
-        self.spec = Agent("specific", d, cfg.workers, width, width,
-                          cfg.lr, cfg.gamma, spec_init)
+        self.spec = Agent("specific", d, cfg.workers, width, cfg.lr, cfg.gamma, spec_init)
         self.dual = cfg.mode != "marlin-s"
-        self.inv = (Agent("invariant", d, cfg.workers, width, width,
-                          cfg.lr, cfg.gamma, inv_init) if self.dual else None)
+        self.inv = (Agent("invariant", d, cfg.workers, width, cfg.lr, cfg.gamma, inv_init)
+                    if self.dual else None)
         self._rng_spec = np.random.default_rng(spec_sample)
         self._rng_inv = np.random.default_rng(inv_sample)
         self._rng_restart = np.random.default_rng(restarts)
         zeros = np.zeros((d, d), dtype=np.int8)
-        # record of the last learning batch; empty graphs before the first batch
-        self._last = EpisodeRecord(t=0, l=0, a_est=zeros, a_spec=zeros, a_inv=zeros,
-                                   best_reward=np.nan, xi=0.0, wall_ms=0.0, converged=False)
-        self.prev_best_dag = zeros             # fused DAG of the previous batch's best episode
+        # record and best episode of the last learning batch; empty graphs before the first
+        self._last = EpisodeRecord(t=0, l=0, a_est=zeros, best_reward=np.nan, xi=0.0,
+                                   wall_ms=0.0, converged=False)
+        self.best_dags = EpisodeDags(zeros, zeros, zeros if self.dual else None)
         self.prev_state_est = zeros            # final estimate of the previous state
         self.prev_summary = np.zeros((d, 2))   # previous state's per-column (mean, std)
         self._stat_count = 0
@@ -244,7 +248,8 @@ class OnlineEngine:
                 best_neg_bic, best = neg_bic, episode
         self.spec.commit_carry()
 
-        a_best, a_spec_best, a_inv_best, fused_best = best
+        dags, fused_best = best
+        a_best = dags.fused
         order_scores, _ = split_action(fused_best)
         # the incumbent goes first, so it stays on ties
         episode_order = np.argsort(-order_scores, kind="stable")
@@ -257,30 +262,30 @@ class OnlineEngine:
             order, a_est = episode_order.tolist(), a_best
         self._incumbent = order
         xi = (0.0 if self.batch_in_state == 1
-              else graph_similarity(self.prev_best_dag, a_best))
+              else graph_similarity(self.best_dags.fused, a_best))
         if xi > cfg.xi_threshold:
             self.converged = True
-        self.prev_best_dag = a_best
+        self.best_dags = dags
         wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
         self._last = EpisodeRecord(
-            t=batch.t, l=batch.l, a_est=a_est, a_spec=a_spec_best, a_inv=a_inv_best,
-            best_reward=best_neg_bic, xi=xi, wall_ms=wall_ms, converged=self.converged,
+            t=batch.t, l=batch.l, a_est=a_est, best_reward=best_neg_bic, xi=xi,
+            wall_ms=wall_ms, converged=self.converged,
         )
         return _detached(self._last)
 
     def _update(self, x: np.ndarray, scorer: BatchScorer, k: int) -> tuple[float, tuple]:
         """k episodes and one train_step per agent; the best episode's -BIC and
-        (fused DAG, specific DAG, invariant DAG, fused action).
+        (EpisodeDags, fused action).
 
         The update's tapes and samples die with this call, before the
         ordering search runs.
         """
         cfg = self.cfg
-        last = self._last
-        z_spec = self.spec.encode_specific(x, last.a_est)
+        a_prev, prev = self._last.a_est, self.best_dags
+        z_spec = self.spec.encode_specific(x, a_prev)
         prop_spec = self.spec.propose(z_spec, self._rng_spec, k)
         if self.dual:
-            z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, last.a_est)
+            z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, a_prev)
             prop_inv = self.inv.propose(z_inv, self._rng_inv, k)
             fused = fuse_actions(prop_spec.actions, prop_inv.actions, cfg.beta)
         else:
@@ -290,16 +295,16 @@ class OnlineEngine:
         if self.dual:
             a_spec = action_to_dag(prop_spec.actions)
             a_inv = action_to_dag(prop_inv.actions)
-            dec_s = decouple_specific(a_spec, last.a_inv, self.prev_state_est)
+            dec_s = decouple_specific(a_spec, prev.invariant, self.prev_state_est)
             r_spec = reward("specific", bic, dec_s, cfg.score).total
-            dec_i = decouple_invariant(a_inv, last.a_spec, self.prev_state_est)
+            dec_i = decouple_invariant(a_inv, prev.specific, self.prev_state_est)
             r_inv = reward("invariant", bic, dec_i, cfg.score).total
         else:
             a_spec, a_inv = a_fused, None
             r_spec = -bic
         i = int(np.argmin(bic))
-        best = (a_fused[i].copy(), a_spec[i].copy(),
-                None if a_inv is None else a_inv[i].copy(), fused[i].copy())
+        best = (EpisodeDags(a_fused[i].copy(), a_spec[i].copy(),
+                            None if a_inv is None else a_inv[i].copy()), fused[i].copy())
         self.spec.train_step(prop_spec, r_spec)
         if self.dual:
             self.inv.train_step(prop_inv, r_inv)

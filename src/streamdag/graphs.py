@@ -142,12 +142,3 @@ def random_dag(d: int, edge_prob: float, rng: np.random.Generator) -> np.ndarray
 def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
     """Row-major nested lists of 0/1 ints, the JSON wire form."""
     return [[int(v) for v in row] for row in np.asarray(adj)]
-
-
-def matrix_from_lists(rows: list[list[int]]) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.int8)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square 0/1 matrix, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise DimensionMismatchError("adjacency entries must be 0 or 1")
-    return arr

@@ -210,8 +210,6 @@ def record_to_dict(record) -> dict:
         "t": int(record.t),
         "l": int(record.l),
         "a_est": matrix_to_lists(record.a_est),
-        "a_spec": None if record.a_spec is None else matrix_to_lists(record.a_spec),
-        "a_inv": None if record.a_inv is None else matrix_to_lists(record.a_inv),
         "best_reward": float(record.best_reward),
         "xi": float(record.xi),
         "wall_ms": float(record.wall_ms),

@@ -215,8 +215,8 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
 
 
 def atb(records) -> float:
-    """Mean wall_ms across records (converged batches included)."""
-    times = [float(r.wall_ms if hasattr(r, "wall_ms") else r["wall_ms"]) for r in records]
+    """Mean wall_ms across result dicts (converged batches included)."""
+    times = [float(r["wall_ms"]) for r in records]
     if not times:
         raise InsufficientDataError("atb needs at least one record")
     return float(np.mean(times))

@@ -294,9 +294,6 @@ class ParamStore:
         self.params[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self.params[name]
-
     def pack(self, reuse: ParamStore | None = None):
         """Move the parameters into the flat buffers (once; later calls do nothing).
 

@@ -17,12 +17,11 @@ from streamdag.nn import Tensor
 from oracles import finite_diff_grad
 
 D = 4
-EMB = 8
-HID = 8
+WIDTH = 8
 
 
 def make_agent(kind="specific", seed=11, workers=1, d=D):
-    return Agent(kind, d=d, workers=workers, embed=EMB, hidden=HID,
+    return Agent(kind, d=d, workers=workers, width=WIDTH,
                  lr=0.01, gamma=0.99, seed_seq=np.random.SeedSequence(seed))
 
 
@@ -76,7 +75,7 @@ def test_encode_specific_shape_and_first_batch_determinism():
     x = make_batch()
     z1 = make_agent(seed=3).encode_specific(x, prev)
     z2 = make_agent(seed=3).encode_specific(x, prev)
-    assert z1.data.shape == (1, D, EMB)
+    assert z1.data.shape == (1, D, WIDTH)
     np.testing.assert_array_equal(z1.data, z2.data)
 
 
@@ -105,7 +104,7 @@ def test_encode_invariant_shape_and_determinism():
     summary = np.stack([np.arange(D, dtype=float), np.ones(D)], axis=1)
     out1 = inv1.encode_invariant(summary, z, prev)
     out2 = inv2.encode_invariant(summary, z, prev)
-    assert out1.data.shape == (1, D, EMB)
+    assert out1.data.shape == (1, D, WIDTH)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
@@ -114,7 +113,7 @@ def test_encode_invariant_permutation_equivariance():
     inv = make_agent("invariant", seed=6)
     rng = np.random.default_rng(7)
     summary = rng.standard_normal((D, 2))
-    z = Tensor(rng.standard_normal((1, D, EMB)))
+    z = Tensor(rng.standard_normal((1, D, WIDTH)))
     adj = np.array(
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int8
     )
@@ -277,7 +276,7 @@ def test_actor_gradient_matches_finite_differences():
     k = len(rewards)
 
     def fresh():
-        return Agent("specific", d=2, workers=1, embed=4, hidden=4,
+        return Agent("specific", d=2, workers=1, width=4,
                      lr=0.01, gamma=0.99, seed_seq=np.random.SeedSequence(22))
 
     agent = fresh()
@@ -316,7 +315,7 @@ def test_reinit_guard_and_determinism():
     b.reinit()
     assert a.params.data is buffer                 # the new parameters reuse the old buffers
     for k in a.params.params:
-        np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+        np.testing.assert_array_equal(a.params.params[k].data, b.params.params[k].data)
     assert a.baseline.tolist() == [0.0]
     assert a.carry[0].sum() == 0.0 and a.carry[1].sum() == 0.0
     # Adam starts over: the next update moves both agents alike
@@ -324,11 +323,11 @@ def test_reinit_guard_and_determinism():
         z = agent.encode_specific(make_batch(seed=1), np.zeros((D, D)))
         agent.train_step(agent.propose(z, np.random.default_rng(5), 2), [1.0, -2.0])
     for k in a.params.params:
-        np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+        np.testing.assert_array_equal(a.params.params[k].data, b.params.params[k].data)
 
 
 def test_construction_equal_seeds_identical():
     a = make_agent(seed=40)
     b = make_agent(seed=40)
     for k in a.params.params:
-        np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+        np.testing.assert_array_equal(a.params.params[k].data, b.params.params[k].data)

@@ -46,6 +46,18 @@ def test_run_modes_byte_identical(tmp_path):
     assert (tmp_path / "r1.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
 
 
+def test_run_results_carry_only_the_estimate(tmp_path):
+    assert main(_synth_args(tmp_path)) == 0
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "4",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert sorted(json.loads(line)) == sorted(
+            ["t", "l", "a_est", "best_reward", "xi", "wall_ms", "converged"])
+
+
 def test_synth_stdout_pipes_into_run(tmp_path, capsys, monkeypatch):
     args = ["synth", "--d=3", "--m=2", "--e=0.0", "--n-per-state=40",
             "--batch-size=20", "--seed=5", "--out", "-",
@@ -108,8 +120,7 @@ def test_eval_perfect_results_shows_zero_shd(tmp_path, capsys):
     rows = []
     for t in (1, 2):
         rows.append({"t": t, "l": 2, "a_est": truth["adjacencies"][t - 1].tolist(),
-                     "a_spec": None, "a_inv": None, "best_reward": 0.0, "xi": 1.0,
-                     "wall_ms": 1.0, "converged": True})
+                     "best_reward": 0.0, "xi": 1.0, "wall_ms": 1.0, "converged": True})
     write_results(rows, tmp_path / "perfect.jsonl")
     assert main(["eval", "--results", str(tmp_path / "perfect.jsonl"),
                  "--truth", str(tmp_path / "t.json")]) == 0

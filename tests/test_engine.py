@@ -1,5 +1,7 @@
 """Online engine tests: similarity measure, loop bookkeeping, modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,8 +140,11 @@ def test_first_batch_record_fields():
     assert rec.xi == 0.0
     assert not rec.converged
     assert rec.a_est.shape == (2, 2)
-    assert rec.a_spec is not None and rec.a_inv is not None
     assert rec.wall_ms > 0.0
+    # the agents' DAGs stay in the engine
+    assert [f.name for f in dataclasses.fields(rec)] == [
+        "t", "l", "a_est", "best_reward", "xi", "wall_ms", "converged"]
+    assert all(a.shape == (2, 2) for a in eng.best_dags)
 
 
 def test_emitted_graphs_are_acyclic():
@@ -149,8 +154,8 @@ def test_emitted_graphs_are_acyclic():
     for batch in _stream(xs):
         rec = eng.process_batch(batch)
         assert is_acyclic_dfs(rec.a_est)
-        assert is_acyclic_dfs(rec.a_spec)
-        assert is_acyclic_dfs(rec.a_inv)
+        for a in eng.best_dags:
+            assert is_acyclic_dfs(a)
 
 
 def test_best_reward_is_negated_fit_score():
@@ -181,20 +186,32 @@ def test_engine_determinism():
     recs = []
     for _ in range(2):
         eng = OnlineEngine(d=2, cfg=OnlineConfig(episodes_per_batch=6, seed=4))
-        recs.append([eng.process_batch(b) for b in batches])
-    for r1, r2 in zip(*recs):
+        recs.append([(eng.process_batch(b), eng.best_dags) for b in batches])
+    for (r1, dags1), (r2, dags2) in zip(*recs):
         assert np.array_equal(r1.a_est, r2.a_est)
-        assert np.array_equal(r1.a_spec, r2.a_spec)
-        assert np.array_equal(r1.a_inv, r2.a_inv)
+        for a1, a2 in zip(dags1, dags2):
+            assert np.array_equal(a1, a2)
         assert r1.best_reward == r2.best_reward
         assert r1.xi == r2.xi
 
 
+def test_xi_compares_the_kept_best_episodes():
+    rng = np.random.default_rng(4)
+    xs = [rng.standard_normal((30, 3)) for _ in range(3)]
+    eng = OnlineEngine(d=3, cfg=OnlineConfig(episodes_per_batch=4, seed=6, xi_threshold=1.0))
+    kept = []
+    for batch in _stream(xs):
+        rec = eng.process_batch(batch)
+        if kept:
+            assert rec.xi == graph_similarity(kept[-1].fused, eng.best_dags.fused)
+        kept.append(eng.best_dags)
+
+
 def test_single_agent_mode_has_no_invariant_output():
     eng = OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-s", episodes_per_batch=4, seed=0))
-    rec = eng.process_batch(_easy_batches(1)[0])
-    assert rec.a_inv is None
-    assert rec.a_spec is not None
+    eng.process_batch(_easy_batches(1)[0])
+    assert eng.best_dags.invariant is None
+    assert np.array_equal(eng.best_dags.specific, eng.best_dags.fused)
 
 
 def test_multi_worker_mode_runs_and_is_deterministic():
@@ -224,7 +241,7 @@ def test_fused_mode_with_full_specific_weight_matches_single_agent():
         r_dual = dual.process_batch(batch)
         r_solo = solo.process_batch(batch)
         assert np.array_equal(r_dual.a_est, r_solo.a_est)
-        assert np.array_equal(r_dual.a_spec, r_solo.a_spec)
+        assert np.array_equal(dual.best_dags.specific, solo.best_dags.specific)
         assert r_dual.best_reward == r_solo.best_reward
 
 
@@ -312,8 +329,7 @@ def test_records_share_no_array_with_the_engine():
         rec = spoiled.process_batch(batch)
         assert record_to_dict(rec) == record_to_dict(twin.process_batch(batch))
         converged += rec.converged and rec.xi == 1.0
-        for a in (rec.a_est, rec.a_spec, rec.a_inv):
-            a[...] = 1 - a
+        rec.a_est[...] = 1 - rec.a_est
     assert converged == 2                             # the third batch of each state
 
 

@@ -10,8 +10,6 @@ from streamdag.graphs import (
     complement,
     dag_decompose,
     is_acyclic,
-    matrix_from_lists,
-    matrix_to_lists,
     nodes_from_action_dim,
     random_dag,
     split_action,
@@ -147,9 +145,3 @@ def test_d3_has_25_dags_and_mapping_reaches_each():
         if hit == keys:
             break
     assert hit == keys
-
-
-def test_matrix_lists_roundtrip():
-    rng = np.random.default_rng(1)
-    adj = random_dag(5, 0.4, rng)
-    assert np.array_equal(matrix_from_lists(matrix_to_lists(adj)), adj)

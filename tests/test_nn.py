@@ -251,26 +251,26 @@ def test_packed_adam_matches_per_array_loop(monkeypatch, block):
     for name, shape in shapes.items():
         store.add(name, rng.standard_normal(shape))
     store.pack()
-    frozen = store["frozen"].data.copy()
-    ref = {name: store[name].data.copy() for name in shapes}
+    frozen = store.params["frozen"].data.copy()
+    ref = {name: store.params[name].data.copy() for name in shapes}
     ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
     ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
     for step in range(1, 5):
         grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3)
                  for name, shape in shapes.items() if name != "frozen"}
         store.zero_grad()
-        loss = sum((store[name] * Tensor(g)).sum() for name, g in grads.items())
+        loss = sum((store.params[name] * Tensor(g)).sum() for name, g in grads.items())
         loss.backward()                          # each gradient is g itself
         adam_step(store, lr=0.01)
         _per_array_adam(ref, grads, ref_m, ref_v, step, lr=0.01)
         for name, g in grads.items():
-            assert store[name].grad.tobytes() == g.tobytes()
+            assert store.params[name].grad.tobytes() == g.tobytes()
         for name in shapes:
-            assert store[name].data.tobytes() == ref[name].tobytes()
+            assert store.params[name].data.tobytes() == ref[name].tobytes()
         assert store.m.tobytes() == np.concatenate([a.ravel() for a in ref_m.values()]).tobytes()
         assert store.v.tobytes() == np.concatenate([a.ravel() for a in ref_v.values()]).tobytes()
-    assert store["frozen"].grad is None
-    assert store["frozen"].data.tobytes() == frozen.tobytes()
+    assert store.params["frozen"].grad is None
+    assert store.params["frozen"].data.tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("packed", [False, True])
