@@ -18,12 +18,13 @@ updates, as in RL-BIC, Zhu et al. 2020).
 
 Every episode is scored on the current state's rows so far: the engine
 keeps one BatchScorer per state, extends its statistics with each learning
-batch and drops it on a state transition.  After the episodes, an ordering
-search on the same statistics (BatchScorer.ordering_search) starts from the
-state's incumbent ordering, the best episode's ordering and a seeded random
-ordering; the estimate is the better-scoring of its DAG and the best
-episode's.  Early exit watches the agents: it fires once the best episodes'
-DAGs of two consecutive batches are more similar than xi_threshold.
+batch and, on a state transition, keeps only its column moments.  After the
+episodes, an ordering search on the same statistics
+(BatchScorer.ordering_search) starts from the state's incumbent ordering,
+the best episode's ordering and a seeded random ordering; the estimate is
+the better-scoring of its DAG and the best episode's.  Early exit watches
+the agents: it fires once the best episodes' DAGs of two consecutive
+batches are more similar than xi_threshold.
 """
 
 from __future__ import annotations
@@ -149,7 +150,12 @@ def _detached(rec: EpisodeRecord, **changes) -> EpisodeRecord:
 
 
 class OnlineEngine:
-    """Incremental DAG learner over a stream of batches."""
+    """Incremental DAG learner over a stream of batches.
+
+    state_scorer is the one store of the current state's statistics: the
+    episodes and the search score against it, and on a state transition its
+    column moments become prev_summary, which the invariant agent encodes.
+    """
 
     def __init__(self, d: int, cfg: OnlineConfig):
         if not 2 <= d <= MAX_SEARCH_NODES:
@@ -177,13 +183,9 @@ class OnlineEngine:
         self.best_dags = EpisodeDags(zeros, zeros, zeros if self.dual else None)
         self.prev_state_est = zeros            # final estimate of the previous state
         self.prev_summary = np.zeros((d, 2))   # previous state's per-column (mean, std)
-        self._stat_count = 0
-        self._stat_sum = np.zeros(d)
-        self._stat_sumsq = np.zeros(d)
         self.state_scorer: BatchScorer | None = None   # statistics of the state's rows
         self._incumbent = list(range(d))       # ordering of the latest estimate
         self.t: int | None = None
-        self.batch_in_state = 0
         self.converged = False
 
     # -- state handling ---------------------------------------------------------
@@ -191,18 +193,12 @@ class OnlineEngine:
     def on_state_transition(self, t_new: int) -> "OnlineEngine":
         """Roll summaries, snapshot the finished state's estimate, reset the specific agent."""
         self.prev_state_est = self._last.a_est
-        if self._stat_count > 0:
-            mean = self._stat_sum / self._stat_count
-            var = self._stat_sumsq / self._stat_count - mean * mean
-            self.prev_summary = np.stack([mean, np.sqrt(np.maximum(var, 0.0))], axis=1)
-        self._stat_count = 0
-        self._stat_sum[:] = 0.0
-        self._stat_sumsq[:] = 0.0
+        if self.state_scorer is not None:
+            self.prev_summary = self.state_scorer.column_moments()
         self.state_scorer = None
         self.spec.reinit()
         self.converged = False
         self.t = t_new
-        self.batch_in_state = 0
         return self
 
     # -- main loop ----------------------------------------------------------------
@@ -215,26 +211,21 @@ class OnlineEngine:
             )
         start = time.perf_counter()
         transition = self.t is not None and (batch.transition or batch.t != self.t)
-        # The scorer and the state's column sums are built before any state
-        # changes, so a batch they reject (too few rows for the state so far,
-        # or values whose statistics overflow) leaves the engine as it was.
-        scorer = (BatchScorer(x, self.cfg.score, base=None if transition else self.state_scorer)
+        # The scorer is built and the batch checked before any state changes,
+        # so a batch they reject (too few rows for the state so far, or values
+        # whose statistics overflow) leaves the engine as it was.  The agents'
+        # batch_stats read the batch's raw moments, so those must be finite too.
+        base = None if transition else self.state_scorer
+        scorer = (BatchScorer(x, self.cfg.score, base=base)
                   if transition or not self.converged else None)
-        stat_sum, stat_sumsq = (0.0, 0.0) if transition else (self._stat_sum, self._stat_sumsq)
         with np.errstate(over="ignore", invalid="ignore"):
-            stat_sum = stat_sum + x.sum(axis=0)
-            stat_sumsq = stat_sumsq + (x * x).sum(axis=0)
-        if not (np.isfinite(stat_sum).all() and np.isfinite(stat_sumsq).all()):
-            raise DataRangeError(f"batch {batch.t}/{batch.l}: the state's column sums of "
-                                 "squares overflow float64")
+            if not np.isfinite((x * x).sum(axis=0)).all():
+                raise DataRangeError(f"batch {batch.t}/{batch.l}: the column sums of "
+                                     "squares overflow float64")
         if self.t is None:
             self.t = batch.t
         elif transition:
             self.on_state_transition(batch.t)
-        self.batch_in_state += 1
-
-        self._stat_count += x.shape[0]
-        self._stat_sum, self._stat_sumsq = stat_sum, stat_sumsq
         if scorer is None:
             return self._converged_record(batch, start)
 
@@ -261,8 +252,8 @@ class OnlineEngine:
         else:
             order, a_est = episode_order.tolist(), a_best
         self._incumbent = order
-        xi = (0.0 if self.batch_in_state == 1
-              else graph_similarity(self.best_dags.fused, a_best))
+        # a scorer that extends no base belongs to the state's first learning batch
+        xi = 0.0 if base is None else graph_similarity(self.best_dags.fused, a_best)
         if xi > cfg.xi_threshold:
             self.converged = True
         self.best_dags = dags

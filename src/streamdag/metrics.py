@@ -64,34 +64,6 @@ def shd(a_true: np.ndarray, a_est: np.ndarray) -> int:
     return int((pat_true != pat_est).sum())
 
 
-def _tie_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    return ranks
-
-
-def auroc_score(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Rank-based AUROC; degenerate label sets score a neutral 0.5."""
-    labels = np.asarray(labels, dtype=bool)
-    scores = np.asarray(scores, dtype=float)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5
-    ranks = _tie_ranks(scores)
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 def descendants(adj: np.ndarray, seeds) -> np.ndarray:
     """Boolean mask of the seeds (a node index or a mask) and every node they reach.
 
@@ -164,8 +136,8 @@ def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
 def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
     """TPR/FDR/F1/AUROC/SHD/SID of an estimated DAG against the truth.
 
-    AUROC ranks the off-diagonal cells by the estimate itself, so for a 0/1
-    estimate it is (TPR + TNR) / 2.
+    AUROC rates the 0/1 estimate over the off-diagonal cells, ties counting
+    half: (TPR + TNR) / 2, and 0.5 when the truth has no edge or no non-edge.
     """
     d = _check_pair(a_true, a_est)
     t = np.asarray(a_true, dtype=bool)
@@ -181,7 +153,10 @@ def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
     recall = tpr
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else 0.0)
-    roc = auroc_score(t[off], e[off])
+    labels, rated = t[off], e[off]
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    hits = int((labels & rated).sum()) * n_neg + int((~labels & ~rated).sum()) * n_pos
+    roc = hits / (2 * n_pos * n_neg) if n_pos and n_neg else 0.5
     return StructureReport(tpr=float(tpr), fdr=float(fdr), f1=float(f1),
                            auroc=roc, shd=shd(a_true, a_est), sid=sid(a_true, a_est))
 

@@ -8,9 +8,9 @@ where RSS_i is the residual sum of squares of regressing column i on its
 parent columns (intercept-only when the parent set is empty).  Lower is
 better; the engine negates it into a reward.  The quadratic backend adds
 squares and pairwise products of the parents to the regressors.  A
-BatchScorer holds the Gram matrix of those rows, so it scores any DAG in
-O(d) small solves, and a batch's scorer extends the state's earlier one.
-It rejects rows whose sums of squares and products overflow float64.
+BatchScorer holds the centred sums of squares and products of those rows,
+so it scores any DAG in O(d) small solves, and a batch's scorer extends the
+state's earlier one.  It rejects rows whose statistics overflow float64.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
@@ -81,18 +81,20 @@ class RewardBreakdown:
 
 
 class BatchScorer:
-    """Caches the Gram matrix of a state's rows so many DAGs score cheaply.
+    """The one store of a state's statistics, so many DAGs score cheaply.
 
-    The design matrix is [intercept | X | quadratic features]; per node we
-    solve ridge-regularized normal equations on the sub-block selected by
-    its parent set.  The statistics are taken about an origin, the column
-    means of the state's first batch, which the intercept absorbs exactly:
-    columns whose means dwarf their spread keep their fit.  Passing
-    ``base`` (the scorer of the same state's earlier rows) adds its
-    statistics to this batch's, so the scorer then scores against every
-    row of the state seen so far.  score_many scores a stack of DAGs in one
-    call; ordering_search looks for a low-scoring DAG on the same
-    statistics.
+    The features are [X | quadratic features].  Their Gram matrix, with an
+    intercept column, is accumulated about an origin, the column means of
+    the state's first batch, so columns whose means dwarf their spread keep
+    their precision.  Everything else reads the centred matrix built from
+    it (the scatter), in which the intercept is absorbed exactly: per node
+    _solve solves ridge-regularized normal equations on the sub-block
+    selected by its parent set, _select runs on its linear block, and
+    column_moments gives the columns' mean and std.  Passing ``base`` (the
+    scorer of the same state's earlier rows) adds its statistics to this
+    batch's, so the scorer then scores against every row of the state seen
+    so far.  score_many scores a stack of DAGs in one call;
+    ordering_search looks for a low-scoring DAG on the same statistics.
     """
 
     def __init__(self, x: np.ndarray, cfg: ScoreConfig, base: "BatchScorer | None" = None):
@@ -114,8 +116,8 @@ class BatchScorer:
         self.cfg = cfg
         self.n = n
         self.d = d
-        # feature column index: 0 intercept, 1..d linear, then squares, then
-        # pairs; _pair_col[i, j] (i < j) is the column of x_i * x_j
+        # feature column index: 0..d-1 linear, then squares, then pairs;
+        # _pair_col[i, j] (i < j) is the column of x_i * x_j
         self._pair_col = np.zeros((d, d), dtype=np.int64)
         # statistics that overflow are rejected below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -125,25 +127,30 @@ class BatchScorer:
             if cfg.backend == "quadratic":
                 cols.append(x * x)
                 i, j = np.triu_indices(d, 1)
-                self._pair_col[i, j] = 1 + 2 * d + np.arange(i.size)
+                self._pair_col[i, j] = 2 * d + np.arange(i.size)
                 cols.append(x[:, i] * x[:, j])
             phi = np.concatenate(cols, axis=1)
-            self._gram = phi.T @ phi
-            self._xty = phi.T @ x  # cross terms against every target column
-            self._yty = np.einsum("ij,ij->j", x, x)
+            self._gram = phi.T @ phi         # about the origin, [1 | features]
             if base is not None:
                 self._gram += base._gram
-                self._xty += base._xty
-                self._yty += base._yty
-            colsum = self._gram[0, 1:d + 1]
-            self._cov = self._gram[1:d + 1, 1:d + 1] - np.outer(colsum, colsum) / n
-        if not all(np.isfinite(a).all() for a in (self._gram, self._xty, self._yty, self._cov)):
+            colsum = self._gram[0, 1:]
+            # centred sums of squares and products of every feature
+            self._scatter = self._gram[1:, 1:] - np.outer(colsum, colsum) / n
+        if not np.isfinite(self._scatter).all():
             raise DataRangeError("the rows' sums of squares and products overflow float64")
+        self._cov = self._scatter[:d, :d]
         # The two memo tables (see _memo), never taken from base: RSS on exact
         # parent sets, and the search's selections (term, parent bitmask).
         self._rss_table = [np.zeros(0, dtype=np.int64), np.zeros(0)]
         self._selections = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)]
         self._layout = _insertion_layout(d)
+
+    def column_moments(self) -> np.ndarray:
+        """Per-column (mean, std) of the rows so far, as a (d, 2) array."""
+        d = self.d
+        mean = self._origin + self._gram[0, 1:d + 1] / self.n
+        std = np.sqrt(np.maximum(np.diag(self._cov), 0.0) / self.n)
+        return np.stack([mean, std], axis=1)
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
         """Residual sum of squares of node on parents, memoised per scorer."""
@@ -190,21 +197,22 @@ class BatchScorer:
         for group in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
             q, p = group.size, count[group[0]]
             parents = np.nonzero(held[group])[1].reshape(q, p)
-            cols = [np.zeros((q, 1), dtype=np.int64), 1 + parents]
+            cols = [parents]
             if self.cfg.backend == "quadratic":
                 i, j = np.triu_indices(p, 1)
-                cols += [1 + d + parents, self._pair_col[parents[:, i], parents[:, j]]]
+                cols += [d + parents, self._pair_col[parents[:, i], parents[:, j]]]
             cols = np.concatenate(cols, axis=1)
             f = cols.shape[1]
-            s_xx = self._gram[cols[:, :, None], cols[:, None, :]]
+            s_xx = self._scatter[cols[:, :, None], cols[:, None, :]]
             s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
-            s_xy = self._xty[cols, nodes[group, None]]
+            s_xy = self._scatter[cols, nodes[group, None]]
             try:
                 beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:   # collinear parents, the ridge below rounding
                 beta = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(s_xx, s_xy)])
             # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
-            rss[group] = self._yty[nodes[group]] - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
+            y_ty = self._scatter[nodes[group], nodes[group]]
+            rss[group] = y_ty - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
         return np.maximum(rss, 0.0)
 
     def score(self, adj: np.ndarray) -> float:

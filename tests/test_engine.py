@@ -269,6 +269,35 @@ def test_transition_bookkeeping():
     assert eng.state_scorer is None
 
 
+def test_previous_state_summary_keeps_a_far_offset_column():
+    """A unit-spread column offset by 1e9 keeps its std in the next state's
+    summary; E[x^2] - mean^2 at that offset loses every digit of it."""
+    rng = np.random.default_rng(15)
+    xs = [rng.standard_normal((40, 3)) for _ in range(3)]
+    for x in xs:
+        x[:, 1] += 1e9
+    states = [(1, 1, False), (1, 2, False), (2, 1, True)]
+    eng = OnlineEngine(d=3, cfg=OnlineConfig(episodes_per_batch=4, seed=0, xi_threshold=1.0))
+    for batch in _stream(xs, states):
+        eng.process_batch(batch)
+    state1 = np.concatenate(xs[:2], axis=0)
+    np.testing.assert_allclose(eng.prev_summary[:, 0], state1.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(eng.prev_summary[:, 1], state1.std(axis=0), rtol=1e-6)
+
+
+def test_xi_is_zero_exactly_on_each_states_first_learning_batch():
+    rng = np.random.default_rng(16)
+    eng = OnlineEngine(d=3, cfg=OnlineConfig(episodes_per_batch=4, seed=0, xi_threshold=1.0))
+    xis = [eng.process_batch(StreamBatch(t=1, l=l, transition=False,
+                                         x=rng.standard_normal((30, 3)))).xi for l in (1, 2)]
+    with pytest.raises(InsufficientDataError):       # too short to start state 2
+        eng.process_batch(StreamBatch(t=2, l=1, transition=True, x=rng.standard_normal((3, 3))))
+    xis += [eng.process_batch(StreamBatch(t=2, l=l, transition=l == 1,
+                                          x=rng.standard_normal((30, 3)))).xi for l in (1, 2)]
+    assert xis[0] == 0.0 and xis[2] == 0.0
+    assert xis[1] > 0.0 and xis[3] > 0.0
+
+
 def test_short_first_batch_of_a_state_leaves_the_engine_unchanged():
     d = 10
     rng = np.random.default_rng(14)
@@ -280,7 +309,7 @@ def test_short_first_batch_of_a_state_leaves_the_engine_unchanged():
     short = StreamBatch(t=2, l=1, transition=True, x=rng.standard_normal((5, d)))
     with pytest.raises(InsufficientDataError):
         eng.process_batch(short)
-    assert (eng.t, eng.batch_in_state, eng._stat_count) == (1, 1, 50)
+    assert eng.t == 1 and eng.state_scorer.n == 50
     assert eng.state_scorer is scorer
     for agent, before in zip(agents, params):
         for k, p in agent.params.params.items():

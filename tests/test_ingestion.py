@@ -22,24 +22,21 @@ def _snapshot(eng):
     carry = eng.spec.carry
     return {
         "t": eng.t,
-        "batch_in_state": eng.batch_in_state,
         "state_scorer": id(eng.state_scorer),
         "converged": eng.converged,
         "carry": [c.copy() for c in carry] + [eng.spec._pending_carry is None],
-        "stats": (eng._stat_count, eng._stat_sum.copy(), eng._stat_sumsq.copy()),
+        "prev_summary": eng.prev_summary.copy(),
         "params": [(a.params.data.copy(), a.params.m.copy(), a.params.v.copy(),
                     a.params.step_count, a.baseline.copy()) for a in agents],
     }
 
 
 def _assert_unchanged(before, after):
-    for key in ("t", "batch_in_state", "state_scorer", "converged"):
+    for key in ("t", "state_scorer", "converged"):
         assert before[key] == after[key], key
     for a, b in zip(before["carry"], after["carry"]):
         np.testing.assert_array_equal(a, b)
-    assert before["stats"][0] == after["stats"][0]
-    for a, b in zip(before["stats"][1:], after["stats"][1:]):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(before["prev_summary"], after["prev_summary"])
     for a, b in zip(before["params"], after["params"]):
         for u, v in zip(a, b):
             np.testing.assert_array_equal(u, v)
@@ -68,8 +65,8 @@ def test_overflowing_first_batch_is_rejected_before_learning():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_batch_on_the_early_exit_path_is_rejected():
-    """A converged engine scores nothing, but the state's running sums would
-    take the row's square and carry inf into the next state's summary."""
+    """A converged engine scores nothing, but it checks the batch as the
+    learning path does: the row's square overflows, so the batch is rejected."""
     rng = np.random.default_rng(1)
     eng = OnlineEngine(3, OnlineConfig(episodes_per_batch=4, seed=0, xi_threshold=0.0))
     for l in (1, 2):
@@ -151,6 +148,7 @@ def test_a_batch_yields_an_estimate_or_leaves_the_engine_unchanged(data):
             _assert_unchanged(before, _snapshot(eng))
             continue
         _check(rec)
-        # the state's running sums feed the next state's summary
-        assert np.isfinite(eng._stat_sumsq).all()
+        # the state's scorer feeds the next state's summary
+        assert np.isfinite(eng.prev_summary).all()
+        assert np.isfinite(eng.state_scorer.column_moments()).all()
         t, l = batch_t, batch_l

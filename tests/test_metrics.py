@@ -6,7 +6,6 @@ import pytest
 from streamdag.errors import DimensionMismatchError, InsufficientDataError
 from streamdag.metrics import (
     atb,
-    auroc_score,
     d_separated,
     descendants,
     final_records_per_state,
@@ -68,14 +67,18 @@ def test_shd_shape_mismatch():
 
 
 def test_auroc_unit_cases():
-    labels = np.array([1, 0, 1, 0])
-    assert auroc_score(labels, np.array([0.9, 0.2, 0.8, 0.1])) == 1.0
-    assert auroc_score(labels, np.array([0.1, 0.8, 0.2, 0.9])) == 0.0
-    assert auroc_score(labels, np.zeros(4)) == 0.5
-    # hand-counted U statistic: 3 of 4 positive/negative pairs correctly ordered
-    assert auroc_score(labels, np.array([0.9, 0.8, 0.7, 0.1])) == 0.75
-    assert auroc_score(np.ones(3), np.array([1.0, 2.0, 3.0])) == 0.5
-    assert auroc_score(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.5
+    off = ~np.eye(3, dtype=bool)
+    assert structure_metrics(CHAIN3, CHAIN3).auroc == 1.0
+    assert structure_metrics(CHAIN3, (off & (CHAIN3 == 0)).astype(np.int8)).auroc == 0.0
+    assert structure_metrics(CHAIN3, np.zeros((3, 3), dtype=np.int8)).auroc == 0.5
+    # hand-counted: 2 edges, 4 non-edges; one edge found and one non-edge
+    # claimed gives tp = 1, tn = 3, so (1 * 4 + 3 * 2) / (2 * 2 * 4)
+    one_of_each = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=np.int8)
+    assert structure_metrics(CHAIN3, one_of_each).auroc == 0.625
+    # a truth with no edge or no non-edge rates every estimate 0.5
+    for truth in (np.zeros((3, 3), dtype=np.int8), off.astype(np.int8)):
+        for est in (CHAIN3, np.zeros((3, 3), dtype=np.int8)):
+            assert structure_metrics(truth, est).auroc == 0.5
 
 
 def test_structure_metrics_perfect_estimate():

@@ -117,6 +117,22 @@ def test_scorer_extends_its_base_with_a_batch():
         BatchScorer(rng.standard_normal((10, 3)), ScoreConfig(), base=scorer)
 
 
+def test_column_moments_cover_every_row_of_the_extended_scorers():
+    rng = np.random.default_rng(23)
+    for backend in BACKENDS:
+        cfg = ScoreConfig(backend=backend)
+        blocks = [np.array([1.0, 1e-3, 1e3, 1.0]) * rng.standard_normal((n, 4))
+                  + np.array([0.0, 5.0, -7e3, 1e6]) for n in (12, 3, 20)]
+        scorer = None
+        for block in blocks:
+            scorer = BatchScorer(block, cfg, base=scorer)
+        rows = np.concatenate(blocks)
+        moments = scorer.column_moments()
+        assert moments.shape == (4, 2)
+        np.testing.assert_allclose(moments[:, 0], rows.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(moments[:, 1], rows.std(axis=0), rtol=1e-9)
+
+
 def test_score_many_matches_score():
     """One batched pass over a stack gives each DAG's score(), whichever of
     the two filled the memo first."""
