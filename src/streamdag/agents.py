@@ -174,7 +174,7 @@ class Agent:
         self.critic2 = Linear(store, "critic2", stack, width, 1, rng)
         store.pack(reuse)
         self.params = store
-        self.baseline = np.zeros(self.workers)
+        self.baseline = 0.0
 
     def reinit(self):
         """Fresh seeded parameters, zero carry, zero baseline, in the old store's buffers."""
@@ -288,13 +288,11 @@ class Agent:
         total.backward()
         adam_step(self.params, lr=self.lr)
         mean_reward = float(rewards.mean())
-        self.baseline = np.array(
-            [update_baseline(b, self.gamma, mean_reward) for b in self.baseline]
-        )
+        self.baseline = update_baseline(self.baseline, self.gamma, mean_reward)
         return TrainStats(
             actor_loss=float(actor_loss.data.sum()),
             critic_loss=float(critic_loss.data.sum()),
             mean_advantage=float(adv.mean()),
-            baseline=float(self.baseline.mean()),
+            baseline=self.baseline,
         )
 

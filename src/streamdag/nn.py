@@ -3,7 +3,8 @@
 Implements exactly what the agents need: a taped Tensor with a handful of
 ops, dense/LSTM/GCN layers, a diagonal-Gaussian policy head, and Adam.
 Every array is float64 and every leading dimension may be a stack axis, so
-the same code runs one policy or a stack of factored sub-policies.
+the same code runs one policy or a stack of factored sub-policies.  Each op
+records one local derivative per parent, and `Tensor.backward` routes them.
 
 A ParamStore keeps its parameters as views into one contiguous buffer, with
 buffers of the same layout for their gradients and Adam's two moments.
@@ -34,8 +35,6 @@ _ADAM_BLOCK = 32768
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad over axes that were broadcast up from `shape`."""
-    if grad.shape == shape:
-        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -46,16 +45,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy array plus the closure that routes gradients to its parents."""
+    """A numpy array, the tensors it was computed from, and one local derivative each.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view")
+    grads[i] maps the output's gradient to parents[i]'s, which backward sums
+    back to the parent's shape where the op broadcast it; both tuples are
+    dropped when no parent needs a gradient.
+    """
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_grad_view")
+
+    def __init__(self, data, requires_grad=False, parents=(), grads=()):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        self._grads = grads if self.requires_grad else ()
         self._grad_view = None      # a packed parameter's view of its store's gradient buffer
 
     def _accum(self, g: np.ndarray):
@@ -73,7 +77,11 @@ class Tensor:
             self.grad += g
 
     def backward(self, grad=None):
-        """Reverse-accumulate gradients from this (scalar) tensor to all leaves."""
+        """Reverse-accumulate gradients from this (scalar) tensor to all leaves.
+
+        Its last loop routes every gradient: parents that need none are
+        skipped, broadcast axes summed out, parents taken in tuple order.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise DimensionMismatchError("backward() on a non-scalar needs a seed grad")
@@ -94,149 +102,98 @@ class Tensor:
                 stack.append((p, False))
         self._accum(np.asarray(grad, dtype=float))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for parent, local in zip(node._parents, node._grads):
+                if parent.requires_grad:
+                    g, shape = local(node.grad), parent.data.shape
+                    parent._accum(g if g.shape == shape else _unbroadcast(g, shape))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
-
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), grads=(_same, _same))
 
     def __sub__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data - other.data, parents=(self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g, other.data.shape))
-
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data - other.data, parents=(self, other), grads=(_same, np.negative))
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, parents=(self, other),
+                      grads=(lambda g: g * other.data, lambda g: g * self.data))
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
 
     def __neg__(self):
         return self * (-1.0)
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)),
-                                         self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g),
-                                          other.data.shape))
-
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(np.matmul(self.data, other.data), parents=(self, other),
+                      grads=(lambda g: np.matmul(g, np.swapaxes(other.data, -1, -2)),
+                             lambda g: np.matmul(np.swapaxes(self.data, -1, -2), g)))
 
     # -- nonlinearities and reductions --------------------------------------
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, parents=(self,))
-        out._backward = (lambda g: self._accum(g * (1.0 - y * y))) if out.requires_grad else None
-        return out
+        return Tensor(y, parents=(self,), grads=(lambda g: g * (1.0 - y * y),))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, parents=(self,))
-        out._backward = (lambda g: self._accum(g * y * (1.0 - y))) if out.requires_grad else None
-        return out
+        return Tensor(y, parents=(self,), grads=(lambda g: g * y * (1.0 - y),))
 
     def exp(self):
         y = np.exp(self.data)
-        out = Tensor(y, parents=(self,))
-        out._backward = (lambda g: self._accum(g * y)) if out.requires_grad else None
-        return out
+        return Tensor(y, parents=(self,), grads=(lambda g: g * y,))
 
     def square(self):
-        out = Tensor(self.data * self.data, parents=(self,))
-        out._backward = (lambda g: self._accum(2.0 * g * self.data)) if out.requires_grad else None
-        return out
+        return Tensor(self.data * self.data, parents=(self,),
+                      grads=(lambda g: 2.0 * g * self.data,))
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient is zero outside [lo, hi]."""
         inside = (self.data >= lo) & (self.data <= hi)
-        out = Tensor(np.clip(self.data, lo, hi), parents=(self,))
-        out._backward = (lambda g: self._accum(g * inside)) if out.requires_grad else None
-        return out
+        return Tensor(np.clip(self.data, lo, hi), parents=(self,), grads=(lambda g: g * inside,))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
-        def bw(g):
-            g = np.asarray(g)
+        def local(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
+            return np.broadcast_to(g, self.data.shape)
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), grads=(local,))
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-        out._backward = (lambda g: self._accum(g.reshape(self.data.shape))) if out.requires_grad else None
-        return out
+        return Tensor(self.data.reshape(*shape), parents=(self,),
+                      grads=(lambda g: g.reshape(self.data.shape),))
 
     def narrow(self, axis: int, start: int, length: int):
         """Contiguous slice along one axis."""
-        idx = [slice(None)] * self.data.ndim
-        idx[axis] = slice(start, start + length)
-        idx = tuple(idx)
-        out = Tensor(self.data[idx], parents=(self,))
+        idx = (slice(None),) * (axis % self.data.ndim) + (slice(start, start + length),)
 
-        def bw(g):
+        def local(g):
             full = np.zeros_like(self.data)
             full[idx] = g
-            self._accum(full)
+            return full
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data[idx], parents=(self,), grads=(local,))
 
     def broadcast_to(self, shape):
-        out = Tensor(np.broadcast_to(self.data, shape).copy(), parents=(self,))
-        out._backward = (lambda g: self._accum(_unbroadcast(g, self.data.shape))) if out.requires_grad else None
-        return out
+        return Tensor(np.broadcast_to(self.data, shape).copy(), parents=(self,), grads=(_same,))
 
     def detach(self):
         return Tensor(self.data.copy())
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    """The local derivative of an operand that passes through unchanged."""
+    return g
 
 
 def as_tensor(value) -> Tensor:
@@ -245,20 +202,11 @@ def as_tensor(value) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), parents=tuple(tensors))
-    sizes = [d.shape[axis] for d in datas]
-
-    def bw(g):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(start, start + size)
-                t._accum(g[tuple(idx)])
-            start += size
-
-    out._backward = bw if out.requires_grad else None
-    return out
+    out = np.concatenate(datas, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    stops = np.cumsum([d.shape[axis] for d in datas])
+    idxs = [lead + (slice(stop - d.shape[axis], stop),) for d, stop in zip(datas, stops)]
+    return Tensor(out, parents=tuple(tensors), grads=tuple(lambda g, i=i: g[i] for i in idxs))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +243,7 @@ class ParamStore:
         return t
 
     def pack(self, reuse: ParamStore | None = None):
-        """Move the parameters into the flat buffers (once; later calls do nothing).
+        """Move the parameters into the flat buffers; call it once, after the last `add`.
 
         `reuse` is a packed store of the same size that nobody will use
         again: this store takes over its buffers, zeroes the moments and
@@ -305,8 +253,6 @@ class ParamStore:
         batch by about 3 MB: once such a block is freed, the C allocator
         serves later blocks of its size from the heap, which fragments.
         """
-        if self.data is not None:
-            return
         size = sum(t.data.size for t in self.params.values())
         if reuse is None:
             self.data = np.empty(size)
@@ -336,21 +282,13 @@ class ParamStore:
             t.grad = None
 
     def _grad_runs(self) -> list[tuple[int, int]]:
-        """[start, stop) of each maximal run of adjacent parameters that have a gradient.
-
-        A gradient assigned to `.grad` directly is first copied into `grad`.
-        """
+        """[start, stop) of each maximal run of adjacent parameters that have a gradient."""
         runs: list[tuple[int, int]] = []
         stop = 0
-        for name, t in self.params.items():
+        for t in self.params.values():
             start, stop = stop, stop + t.data.size
             if t.grad is None:
                 continue
-            if t.grad is not t._grad_view:
-                if t.grad.shape != t.data.shape:
-                    raise DimensionMismatchError(f"gradient shape mismatch for {name}")
-                t._grad_view[...] = t.grad
-                t.grad = t._grad_view
             if runs and runs[-1][1] == start:
                 start = runs.pop()[0]
             runs.append((start, stop))
@@ -360,13 +298,15 @@ class ParamStore:
 def adam_step(store: ParamStore, lr: float):
     """One bias-corrected Adam update over every parameter with a gradient.
 
-    The update packs the store if nobody has, then runs over its flat
-    buffers, one block of each run of parameters with a gradient at a time,
-    and writes its temporaries into the store's scratch.  Its operations and
-    their order are those of the textbook per-array update, so the result
-    is the same to the bit.
+    The store must be packed, and its gradients come from backward, which
+    writes each parameter's gradient into its view of `store.grad`.  The
+    update runs over the flat buffers, one block of each run of parameters
+    with a gradient at a time, and writes its temporaries into the store's
+    scratch.  Its operations and their order are those of the textbook
+    per-array update, so the result is the same to the bit.
     """
-    store.pack()
+    if store.data is None:
+        raise ConfigError("adam_step needs a packed ParamStore")
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - _ADAM_BETA1 ** t

@@ -432,7 +432,12 @@ class BatchScorer:
         chol = np.zeros((q, d, 0))
         while live.size:
             at = np.arange(live.size)
-            gain = np.divide(cross * cross, var, out=np.full_like(var, -1.0), where=var > floor)
+            # cross * (cross / var), not cross * cross / var: the square of a
+            # covariance past about 1e154 overflows, the gain (at most the
+            # target's variance) does not.  A candidate whose var is at or
+            # below the floor gets 0, which `best > 0.0` below never takes.
+            gain = np.divide(cross, var, out=np.zeros_like(var), where=var > floor)
+            gain *= cross
             pick = gain.argmax(axis=1)
             best = gain[at, pick]
             new_fit = np.maximum((cross[at, target] - best) / n, _RSS_FLOOR)

@@ -254,7 +254,7 @@ def test_train_step_moves_parameters_and_baseline():
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
     prop = agent.propose(z, np.random.default_rng(2), 2)
     stats = agent.train_step(prop, [4.0, 6.0])
-    assert agent.baseline[0] == pytest.approx(update_baseline(0.0, 0.99, 5.0))
+    assert agent.baseline == pytest.approx(update_baseline(0.0, 0.99, 5.0))
     assert stats.critic_loss > 0.0
 
 
@@ -316,7 +316,7 @@ def test_reinit_guard_and_determinism():
     assert a.params.data is buffer                 # the new parameters reuse the old buffers
     for k in a.params.params:
         np.testing.assert_array_equal(a.params.params[k].data, b.params.params[k].data)
-    assert a.baseline.tolist() == [0.0]
+    assert a.baseline == 0.0
     assert a.carry[0].sum() == 0.0 and a.carry[1].sum() == 0.0
     # Adam starts over: the next update moves both agents alike
     for agent in (a, b):

@@ -1,11 +1,13 @@
 """Autodiff tape, layers, policy head, and Adam against finite differences."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from streamdag import nn
+from streamdag.errors import ConfigError
 from streamdag.nn import (
     GaussianPolicy,
     GCNLayer,
@@ -62,6 +64,16 @@ def test_sum_mean_narrow_concat_grads():
     _grad_check(lambda t: concat([t.narrow(1, 0, 2), t.narrow(1, 2, 4)], axis=1).square().sum(), x)
 
 
+def test_narrow_concat_grads_on_the_last_axis():
+    """axis=-1, as the agents slice their gates and join their features."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 6))
+    const = rng.standard_normal((2, 3, 2))
+    _grad_check(lambda t: t.narrow(-1, 2, 3).square().sum(), x)
+    _grad_check(lambda t: concat([t.narrow(-1, 3, 3), Tensor(const), t.narrow(-1, 0, 3)],
+                                 axis=-1).square().sum(), x)
+
+
 def test_clip_grad_zero_outside_range():
     x = np.array([-3.0, -1.0, 0.5, 4.0])
     leaf = Tensor(x, requires_grad=True)
@@ -74,6 +86,21 @@ def test_broadcast_add_grads():
     b = rng.standard_normal((1, 5))
     x = rng.standard_normal((7, 5))
     _grad_check(lambda t: (Tensor(x) + t).square().sum(), b)
+
+
+@pytest.mark.parametrize("op", [operator.sub, operator.mul])
+def test_broadcast_sub_mul_grads_on_either_side(op):
+    """A (1, 5) operand against a (7, 5) one, as the left or the right operand."""
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((1, 5))
+    x = rng.standard_normal((7, 5))
+    _grad_check(lambda t: op(Tensor(x), t).square().sum(), b)
+    _grad_check(lambda t: op(t, Tensor(x)).square().sum(), b)
+    _grad_check(lambda t: op(t, Tensor(b)).square().sum(), x)
+    _grad_check(lambda t: op(Tensor(b), t).square().sum(), x)
+    # both operands need a gradient, and one of them is broadcast
+    _grad_check(lambda t: op(t, t.sum(axis=0, keepdims=True)).square().sum(), x)
+    _grad_check(lambda t: op(t.mean(axis=0, keepdims=True), t).square().sum(), x)
 
 
 def test_diamond_graph_accumulates_once():
@@ -210,18 +237,29 @@ def test_critic_mlp_grad_check():
 def test_adam_first_step_is_signed_lr():
     store = ParamStore()
     p = store.add("p", np.array([1.0, -2.0, 3.0]))
-    p.grad = np.array([0.5, -0.1, 0.0])
+    store.pack()
+    (p * Tensor(np.array([0.5, -0.1, 0.0]))).sum().backward()     # the gradient is that array
     adam_step(store, lr=0.01)
     np.testing.assert_allclose(p.data, np.array([1.0 - 0.01, -2.0 + 0.01, 3.0]), atol=1e-6)
+
+
+def test_adam_needs_a_packed_store():
+    store = ParamStore()
+    store.add("p", np.array([1.0]))
+    with pytest.raises(ConfigError):
+        adam_step(store, lr=0.1)
+    assert store.step_count == 0
 
 
 def test_adam_skips_params_without_grad():
     store = ParamStore()
     p = store.add("p", np.array([1.0]))
     q = store.add("q", np.array([2.0]))
-    p.grad = np.array([1.0])
+    store.pack()
+    p.sum().backward()
     adam_step(store, lr=0.1)
-    assert q.data.tolist() == [2.0]
+    assert p.data.tolist() == pytest.approx([0.9])
+    assert q.grad is None and q.data.tolist() == [2.0]
 
 
 def _per_array_adam(params, grads, m, v, step, lr):
@@ -288,7 +326,7 @@ def test_fanned_out_gradient_is_not_aliased(packed):
 
 
 def test_constants_get_no_gradient():
-    """Operands that do not require a gradient are skipped in every backward closure."""
+    """Backward skips every operand that does not require a gradient."""
     x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     consts = [Tensor(np.array([[3.0, 4.0]])) for _ in range(4)] + [Tensor(np.ones((2, 1)))]
     y = concat([(x + consts[0]) - consts[1], consts[2]], axis=0) * consts[3]

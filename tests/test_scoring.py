@@ -209,7 +209,6 @@ def test_searches_and_node_rss_share_the_scorer_memo(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scorer_rejects_statistics_that_overflow():
     rng = np.random.default_rng(61)
     x = 1e100 * rng.standard_normal((30, 3))
