@@ -37,7 +37,7 @@ import numpy as np
 
 from .agents import Agent, fuse_actions
 from .errors import ConfigError, DataRangeError, DimensionMismatchError
-from .graphs import action_dim, action_to_dag, split_action
+from .graphs import action_to_dag, split_action
 from .scoring import (
     MAX_SEARCH_NODES,
     BatchScorer,
@@ -160,10 +160,6 @@ class OnlineEngine:
     def __init__(self, d: int, cfg: OnlineConfig):
         if not 2 <= d <= MAX_SEARCH_NODES:
             raise ConfigError(f"need 2 to {MAX_SEARCH_NODES} variables, got d={d}")
-        if cfg.workers > action_dim(d):
-            raise ConfigError(
-                f"workers={cfg.workers} exceeds action length {action_dim(d)}"
-            )
         self.d = d
         self.cfg = cfg
         width = max(16, 64 // cfg.workers)     # embedding and hidden width

@@ -7,6 +7,8 @@ entries order the nodes (an edge i -> j is admissible only when the
 ordering value of i exceeds that of j), and the remaining d^2 entries are
 thresholded at zero into an edge mask.  Acyclicity is guaranteed by
 construction because every admissible edge points down the ordering.
+For any other graph, topological_order is the one cycle and shape check;
+is_acyclic and dag_decompose go through it.
 """
 
 from __future__ import annotations
@@ -33,19 +35,6 @@ def nodes_from_action_dim(length: int) -> int:
     return d
 
 
-def validate_action(a: np.ndarray) -> int:
-    """Check shape/finiteness of an action vector or a (k, length) stack of
-    them; returns the node count."""
-    a = np.asarray(a)
-    if a.ndim not in (1, 2):
-        raise InvalidActionError(
-            f"action must be a vector or a stack of vectors, got shape {a.shape}")
-    d = nodes_from_action_dim(a.shape[-1])
-    if not np.all(np.isfinite(a)):
-        raise InvalidActionError("action contains non-finite entries")
-    return d
-
-
 def split_action(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The d ordering scores and the d x d mask logits of an action, as views;
     a (k, d(d+1)) stack gives (k, d) scores and (k, d, d) logits."""
@@ -62,38 +51,25 @@ def action_to_dag(a: np.ndarray) -> np.ndarray:
     stack of actions maps to a (k, d, d) stack of DAGs.
     """
     a = np.asarray(a, dtype=float)
-    validate_action(a)
+    if a.ndim not in (1, 2):
+        raise InvalidActionError(
+            f"action must be a vector or a stack of vectors, got shape {a.shape}")
     h, logits = split_action(a)
+    if not np.all(np.isfinite(a)):
+        raise InvalidActionError("action contains non-finite entries")
     order = h[..., :, None] > h[..., None, :]      # strict, so the diagonal is 0
     return (order & (logits > 0.0)).astype(np.int8)
-
-
-def is_acyclic(adj: np.ndarray) -> bool:
-    """Kahn elimination: true iff repeatedly removing in-degree-0 nodes empties the graph."""
-    a = np.asarray(adj)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
-    indeg = a.sum(axis=0).astype(np.int64)
-    alive = np.ones(d, dtype=bool)
-    remaining = d
-    while remaining:
-        ready = np.flatnonzero(alive & (indeg == 0))
-        if ready.size == 0:
-            return False
-        alive[ready] = False
-        remaining -= ready.size
-        indeg -= a[ready].sum(axis=0)
-    return True
 
 
 def topological_order(adj: np.ndarray) -> list[int]:
     """Kahn's algorithm with lowest-index-first tie-breaking.
 
-    Raises CyclicGraphError on cyclic input.
+    Raises CyclicGraphError on cyclic input, DimensionMismatchError on non-square input.
     """
     a = np.asarray(adj)
     d = a.shape[0]
+    if a.shape != (d, d):
+        raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
     indeg = a.sum(axis=0).astype(np.int64)
     alive = np.ones(d, dtype=bool)
     order: list[int] = []
@@ -106,6 +82,15 @@ def topological_order(adj: np.ndarray) -> list[int]:
         alive[nxt] = False
         indeg -= a[nxt]
     return order
+
+
+def is_acyclic(adj: np.ndarray) -> bool:
+    """True iff the graph has a topological order."""
+    try:
+        topological_order(adj)
+    except CyclicGraphError:
+        return False
+    return True
 
 
 def dag_decompose(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

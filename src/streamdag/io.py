@@ -5,9 +5,11 @@ Streams are JSON Lines, one batch per line:
     {"t": 1, "l": 1, "transition": true, "x": [[...], ...]}
 
 or alternatively a plain CSV of rows plus a sidecar JSON file mapping row
-ranges to (t, l), checked as strictly as JSONL.  Results are JSON Lines of
-per-batch estimates, flushed per line so downstream consumers can follow a
-run in progress.
+ranges to (t, l), checked as strictly as JSONL.  Both readers yield each
+batch with its place in the file, and one check (_in_order) rejects, in
+either format, a column count that drifts or a (t, l) that does not
+increase.  Results are JSON Lines of per-batch estimates, flushed per line
+so downstream consumers can follow a run in progress.
 """
 
 from __future__ import annotations
@@ -69,38 +71,28 @@ def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
     return StreamBatch(t=t, l=l, transition=transition, x=mat)
 
 
-def _check_order(batch: StreamBatch, prev: tuple | None, where: int | str, prev_where: str):
-    if prev is not None and (batch.t, batch.l) <= prev:
-        raise SchemaError(
-            f"batch (t={batch.t}, l={batch.l}) is out of order after "
-            f"(t={prev[0]}, l={prev[1]}) on {prev_where}",
-            where,
-        )
+@contextmanager
+def _open(target, mode: str):
+    """Yield `target` if it is already a file object, else open the path in `mode`."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with Path(target).open(mode) as fh:
+            yield fh
 
 
-def _iter_jsonl(lines) -> "iter":
-    prev = None
-    prev_where = ""
-    width = None
-    for line_no, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from None
-        batch = _parse_batch(obj, line_no)
-        if width is None:
-            width = batch.x.shape[1]
-        elif batch.x.shape[1] != width:
-            raise SchemaError(
-                f"column count drifted from {width} to {batch.x.shape[1]}", line_no
-            )
-        _check_order(batch, prev, line_no, prev_where)
-        prev = (batch.t, batch.l)
-        prev_where = f"line {line_no}"
-        yield batch
+def _iter_jsonl(source):
+    """(batch, line number) of each non-blank line of a JSONL path or file object."""
+    with _open(source, "r") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from None
+            yield _parse_batch(obj, line_no), line_no
 
 
 def _cell(text: str) -> float:
@@ -112,6 +104,7 @@ def _cell(text: str) -> float:
 
 
 def _iter_csv(path: Path, sidecar: Path):
+    """(batch, sidecar entry label) of each sidecar entry's CSV rows."""
     if not sidecar.exists():
         raise SchemaError(f"sidecar metadata file not found: {sidecar}")
     try:
@@ -124,8 +117,6 @@ def _iter_csv(path: Path, sidecar: Path):
         rows = np.loadtxt(path, delimiter=",", ndmin=2, converters=_cell)
     except ValueError as exc:
         raise SchemaError(f"CSV rows must be rectangular: {exc}") from None
-    prev = None
-    prev_where = ""
     for entry_no, entry in enumerate(meta, start=1):
         where = f"sidecar entry {entry_no}"
         t, l, transition = _check_entry(entry, {"t", "l", "transition", "start", "stop"}, where)
@@ -135,35 +126,33 @@ def _iter_csv(path: Path, sidecar: Path):
             raise SchemaError(f"invalid row range [{start}, {stop})", where)
         if not np.isfinite(rows[start:stop]).all():
             raise SchemaError(f"cells in rows [{start}, {stop}) must be finite numbers", where)
-        batch = StreamBatch(t=t, l=l, transition=transition, x=rows[start:stop])
-        _check_order(batch, prev, where, prev_where)
-        prev = (batch.t, batch.l)
-        prev_where = where
+        yield StreamBatch(t=t, l=l, transition=transition, x=rows[start:stop]), where
+
+
+def _in_order(located):
+    """The batches of (batch, where) pairs, each checked against the one
+    before it: the same column count and a strictly later (t, l)."""
+    prev = prev_where = None
+    for batch, where in located:
+        if prev is not None and batch.x.shape[1] != prev.x.shape[1]:
+            raise SchemaError(
+                f"column count drifted from {prev.x.shape[1]} to {batch.x.shape[1]}", where)
+        if prev is not None and (batch.t, batch.l) <= (prev.t, prev.l):
+            label = f"line {prev_where}" if isinstance(prev_where, int) else prev_where
+            raise SchemaError(f"batch (t={batch.t}, l={batch.l}) is out of order after "
+                              f"(t={prev.t}, l={prev.l}) on {label}", where)
+        prev, prev_where = batch, where
         yield batch
 
 
 def read_stream(source, sidecar=None):
     """Lazily yield validated StreamBatch values from JSONL, CSV, or a file object."""
-    if hasattr(source, "read"):
-        yield from _iter_jsonl(source)
-        return
-    path = Path(source)
-    if path.suffix == ".csv":
-        side = Path(sidecar) if sidecar is not None else path.with_suffix(".meta.json")
-        yield from _iter_csv(path, side)
-        return
-    with path.open() as fh:
-        yield from _iter_jsonl(fh)
-
-
-@contextmanager
-def _open(target, mode: str):
-    """Yield `target` if it is already a file object, else open the path in `mode`."""
-    if hasattr(target, "read" if mode == "r" else "write"):
-        yield target
+    if not hasattr(source, "read") and Path(source).suffix == ".csv":
+        side = Path(source).with_suffix(".meta.json") if sidecar is None else Path(sidecar)
+        located = _iter_csv(Path(source), side)
     else:
-        with Path(target).open(mode) as fh:
-            yield fh
+        located = _iter_jsonl(source)
+    yield from _in_order(located)
 
 
 def write_stream(batches, path) -> int:

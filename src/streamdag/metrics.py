@@ -107,12 +107,6 @@ def d_connected(adj: np.ndarray, x: int, z: np.ndarray) -> np.ndarray:
     return reach
 
 
-def d_separated(adj: np.ndarray, x: int, y: int, z: np.ndarray) -> bool:
-    """d-separation of x and y given mask z; see d_connected."""
-    z = np.asarray(z, dtype=bool)
-    return bool(z[x] or z[y] or not d_connected(adj, x, z)[y])
-
-
 def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
     """Count ordered pairs whose parent-adjustment in the estimate fails in the truth."""
     d = _check_pair(a_true, a_est)

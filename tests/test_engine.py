@@ -84,7 +84,7 @@ def test_config_validation():
 def test_engine_rejects_bad_dimensions():
     with pytest.raises(ConfigError):
         OnlineEngine(d=1, cfg=OnlineConfig())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="exceeds action length 6"):
         OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-m", workers=7))
 
 

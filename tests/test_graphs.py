@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamdag.errors import CyclicGraphError, InvalidActionError
+from streamdag.errors import CyclicGraphError, DimensionMismatchError, InvalidActionError
 from streamdag.graphs import (
     action_dim,
     action_to_dag,
@@ -107,6 +107,12 @@ def test_topological_order_raises_on_cycle():
     adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
     with pytest.raises(CyclicGraphError):
         topological_order(adj)
+
+
+@pytest.mark.parametrize("check", [topological_order, dag_decompose, is_acyclic])
+def test_graph_checks_reject_a_non_square_matrix(check):
+    with pytest.raises(DimensionMismatchError):
+        check(np.zeros((2, 3), dtype=np.int8))
 
 
 def test_decompose_worked_example():

@@ -6,7 +6,7 @@ import pytest
 from streamdag.errors import DimensionMismatchError, InsufficientDataError
 from streamdag.metrics import (
     atb,
-    d_separated,
+    d_connected,
     descendants,
     final_records_per_state,
     ranking_metrics,
@@ -116,7 +116,7 @@ def test_d_separation_matches_path_oracle():
         z_mask = rng.random(5) < 0.4
         z_mask[x] = z_mask[y] = False
         z_set = set(int(v) for v in np.flatnonzero(z_mask))
-        assert d_separated(g, int(x), int(y), z_mask) == d_separated_paths(g, int(x), int(y), z_set)
+        assert (not d_connected(g, int(x), z_mask)[y]) == d_separated_paths(g, int(x), int(y), z_set)
 
 
 def test_sid_unit_cases():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamdag.errors import ConfigError, DimensionMismatchError, GenerationError, InsufficientDataError
+from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.rca import RwrConfig, anomaly_zscores, fault_window_scores, rank_root_causes
 
 
@@ -39,13 +39,26 @@ def test_two_node_closed_form():
     # edge 0 -> 1, all restart mass on the child: solving
     # pi0 = (1-r) pi1, pi1 = (1-r) pi0 + r gives pi = ((1-r)/(2-r), 1/(2-r))
     adj = np.array([[0, 1], [0, 0]], dtype=int)
-    for r in (0.1, 0.3, 0.7):
+    for r in (1e-4, 0.1, 0.3, 0.7):
         cfg = RwrConfig(anomaly_scores=np.array([0.0, 1.0]), restart_prob=r)
         ranked = rank_root_causes(adj, cfg)
         scores = dict(ranked)
-        assert scores[0] == pytest.approx((1 - r) / (2 - r), abs=1e-9)
-        assert scores[1] == pytest.approx(1 / (2 - r), abs=1e-9)
+        assert scores[0] == pytest.approx((1 - r) / (2 - r), abs=1e-12)
+        assert scores[1] == pytest.approx(1 / (2 - r), abs=1e-12)
         assert ranked[0][0] == 1                # the restart node keeps the lead
+
+
+def test_two_cycle_closed_form():
+    """A periodic walk: its mass alternates between the nodes and damps only by
+    1 - r per step, so a small restart probability leaves it far from settled
+    after many steps.  pi0 = (1-r) pi1 + r, pi1 = (1-r) pi0 give
+    pi = (1/(2-r), (1-r)/(2-r))."""
+    adj = np.array([[0, 1], [1, 0]], dtype=int)
+    for r in (1e-4, 1e-3, 0.3):
+        cfg = RwrConfig(anomaly_scores=np.array([1.0, 0.0]), restart_prob=r)
+        scores = dict(rank_root_causes(adj, cfg))
+        assert scores[0] == pytest.approx(1 / (2 - r), abs=1e-12)
+        assert scores[1] == pytest.approx((1 - r) / (2 - r), abs=1e-12)
 
 
 def test_stationary_vector_is_a_distribution():
@@ -85,15 +98,6 @@ def test_ranking_is_deterministic():
     adj = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=int)
     cfg = RwrConfig(anomaly_scores=np.array([0.5, 1.0, 2.0]))
     assert rank_root_causes(adj, cfg) == rank_root_causes(adj, cfg)
-
-
-def test_non_convergence_raises():
-    """The chain's walk alternates between its nodes and damps by a factor
-    1 - restart_prob per step, too slowly to settle within the step limit."""
-    adj = np.array([[0, 1], [0, 0]], dtype=int)
-    cfg = RwrConfig(anomaly_scores=np.array([0.0, 1.0]), restart_prob=1e-4)
-    with pytest.raises(GenerationError):
-        rank_root_causes(adj, cfg)
 
 
 def test_shape_mismatches():
