@@ -1,7 +1,7 @@
 """Online causal structure learning from non-stationary data streams."""
 
 from .agents import Agent, fuse_actions, partition_action_space, update_baseline
-from .engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
+from .engine import OnlineConfig, OnlineEngine, graph_similarity
 from .errors import (
     ConfigError,
     CyclicGraphError,
@@ -22,7 +22,7 @@ from .graphs import (
     random_dag,
     topological_order,
 )
-from .io import StreamBatch, read_results, read_stream, read_truth, write_results, write_stream, write_truth
+from .io import EpisodeRecord, StreamBatch, read_results, read_stream, read_truth, write_results, write_stream, write_truth
 from .metrics import RankingReport, StructureReport, ranking_metrics, structure_metrics, summarize_run
 from .rca import RwrConfig, anomaly_zscores, fault_window_scores, rank_root_causes
 from .scoring import BatchScorer, RewardBreakdown, ScoreConfig, bic_score, reward

@@ -26,11 +26,13 @@ from .errors import (
     ConfigError,
     DataRangeError,
     DimensionMismatchError,
+    InsufficientDataError,
     InvalidActionError,
     SchemaError,
     StreamDagError,
 )
 from .io import (
+    read_json,
     read_results,
     read_stream,
     read_truth,
@@ -39,7 +41,7 @@ from .io import (
     write_stream,
     write_truth,
 )
-from .metrics import METRIC_COLUMNS, ranking_metrics, summarize_run
+from .metrics import METRIC_COLUMNS, final_records_per_state, ranking_metrics, summarize_run
 from .rca import RwrConfig, fault_window_scores, rank_root_causes
 from .scoring import BACKENDS, ScoreConfig
 from .synth import MECHANISMS, SynthConfig, generate
@@ -48,17 +50,8 @@ from .synth import MECHANISMS, SynthConfig, generate
 _LIST_FLAGS = ("rows", "k", "roots")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Parser that reports usage errors with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _build_parser() -> tuple[_Parser, dict[str, dict]]:
-    parser = _Parser(prog="streamdag", description=__doc__.splitlines()[0])
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+    parser = argparse.ArgumentParser(prog="streamdag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     flags: dict[str, dict] = {}     # command -> dest -> (default, type, choices)
 
@@ -134,10 +127,7 @@ def _merge_config(args: argparse.Namespace, flags: dict) -> dict:
     """Resolve flag values: explicit CLI > config file > built-in default."""
     overrides = {}
     if args.config is not None:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc.msg}") from None
+        doc = read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - set(flags)
@@ -263,10 +253,10 @@ def _cmd_rca(opts: dict) -> int:
     _require(opts, "results", "stream", "state", "rows")
     row_start, row_stop = _parse_rows(opts["rows"])
     state = opts["state"]
-    finals = [r for r in read_results(opts["results"]) if r["t"] == state]
-    if not finals:
+    final = final_records_per_state(read_results(opts["results"])).get(state)
+    if final is None:
         raise ConfigError(f"results contain no records for state {state}")
-    a_est = np.asarray(max(finals, key=lambda r: r["l"])["a_est"], dtype=np.int8)
+    a_est = np.asarray(final["a_est"], dtype=np.int8)
     batches = list(read_stream(opts["stream"], sidecar=opts["sidecar"]))
     scores = fault_window_scores(batches, state, row_start, row_stop)
     ranked = rank_root_causes(a_est, RwrConfig(anomaly_scores=scores,
@@ -301,18 +291,15 @@ def main(argv=None) -> int:
             return 1
         opts = _merge_config(args, flags[args.command])
         return _COMMANDS[args.command](opts)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:         # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code == 2 else int(exc.code or 0)
     except (ConfigError, SchemaError, DimensionMismatchError, InvalidActionError,
-            DataRangeError) as exc:
+            DataRangeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
-    except StreamDagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StreamDagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # surface unexpected failures as runtime errors

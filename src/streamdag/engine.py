@@ -1,7 +1,8 @@
 """Online learning loop over a non-stationary batch stream.
 
 One engine instance consumes batches in order, maintains the two agents,
-and emits one estimate per batch.  Three modes share the code path:
+and emits one estimate per batch as an EpisodeRecord, which io declares
+beside the results file that holds it.  Three modes share the code path:
 
   marlin    dual agents, one worker owning the whole action vector
   marlin-s  single specific-style agent, no fusion, no decoupling terms
@@ -37,7 +38,8 @@ import numpy as np
 
 from .agents import Agent, fuse_actions
 from .errors import ConfigError, DataRangeError, DimensionMismatchError
-from .graphs import action_to_dag, split_action
+from .graphs import action_to_dag, graph_size, split_action
+from .io import EpisodeRecord
 from .scoring import (
     MAX_SEARCH_NODES,
     BatchScorer,
@@ -88,27 +90,6 @@ class OnlineConfig:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-@dataclass
-class EpisodeRecord:
-    """Per-batch output of the engine.
-
-    a_est is the estimate and best_reward the negated BIC of a_est on the
-    state's rows so far (on a converged record: up to the state's last
-    learning batch).  xi is the similarity between the fused DAGs of the
-    best episodes of this and the state's previous learning batch: 0 on a
-    state's first batch, 1 on a converged record.  The agents' own DAGs
-    stay in the engine (OnlineEngine.best_dags).
-    """
-
-    t: int
-    l: int
-    a_est: np.ndarray
-    best_reward: float
-    xi: float
-    wall_ms: float
-    converged: bool
-
-
 def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
     """1 minus the mean base-2 JS divergence over off-diagonal edge cells.
 
@@ -118,9 +99,7 @@ def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
     """
     a = np.asarray(g_prev, dtype=float)
     b = np.asarray(g_cur, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"graphs must share a square shape, got {a.shape} vs {b.shape}")
-    d = a.shape[0]
+    d = graph_size(a, b)
     if d < 2:
         return 1.0
     off = ~np.eye(d, dtype=bool)

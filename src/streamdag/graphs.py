@@ -7,8 +7,9 @@ entries order the nodes (an edge i -> j is admissible only when the
 ordering value of i exceeds that of j), and the remaining d^2 entries are
 thresholded at zero into an edge mask.  Acyclicity is guaranteed by
 construction because every admissible edge points down the ordering.
-For any other graph, topological_order is the one cycle and shape check;
-is_acyclic and dag_decompose go through it.
+For any other graph, topological_order is the one cycle check;
+is_acyclic and dag_decompose go through it.  graph_size is the one
+square-shape check, for graphs here and in engine, metrics and rca.
 """
 
 from __future__ import annotations
@@ -61,15 +62,22 @@ def action_to_dag(a: np.ndarray) -> np.ndarray:
     return (order & (logits > 0.0)).astype(np.int8)
 
 
+def graph_size(*adjs) -> int:
+    """The d of graphs that all share one d x d shape; else DimensionMismatchError."""
+    shapes = [np.shape(a) for a in adjs]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise DimensionMismatchError(
+            f"graphs must share a square shape, got {' vs '.join(map(str, shapes))}")
+    return shapes[0][0]
+
+
 def topological_order(adj: np.ndarray) -> list[int]:
     """Kahn's algorithm with lowest-index-first tie-breaking.
 
     Raises CyclicGraphError on cyclic input, DimensionMismatchError on non-square input.
     """
     a = np.asarray(adj)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
+    d = graph_size(a)
     indeg = a.sum(axis=0).astype(np.int64)
     alive = np.ones(d, dtype=bool)
     order: list[int] = []

@@ -8,15 +8,18 @@ or alternatively a plain CSV of rows plus a sidecar JSON file mapping row
 ranges to (t, l), checked as strictly as JSONL.  Both readers yield each
 batch with its place in the file, and one check (_in_order) rejects, in
 either format, a column count that drifts or a (t, l) that does not
-increase.  Results are JSON Lines of per-batch estimates, flushed per line
-so downstream consumers can follow a run in progress.
+increase.  Results are JSON Lines of per-batch estimates (EpisodeRecord,
+declared here beside record_to_dict), flushed per line so downstream
+consumers can follow a run in progress.  Every JSON file goes through one
+codec: _json parses, read_json reads a document, _json_lines and
+_write_json_lines read and write JSON Lines.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +41,40 @@ class StreamBatch:
             raise SchemaError(f"batch {self.t}/{self.l}: x must be a non-empty 2-d matrix")
 
 
-def _check_entry(obj, keys: set, where: int | str) -> tuple[int, int, bool]:
-    """(t, l, transition) of a JSONL line or CSV sidecar entry `where`, checked."""
+@dataclass
+class EpisodeRecord:
+    """Per-batch output of the engine.
+
+    a_est is the estimate and best_reward the negated BIC of a_est on the
+    state's rows so far (on a converged record: up to the state's last
+    learning batch).  xi is the similarity between the fused DAGs of the
+    best episodes of this and the state's previous learning batch: 0 on a
+    state's first batch, 1 on a converged record.  The agents' own DAGs
+    stay in the engine (OnlineEngine.best_dags).
+    """
+
+    t: int
+    l: int
+    a_est: np.ndarray
+    best_reward: float
+    xi: float
+    wall_ms: float
+    converged: bool
+
+
+def _object(obj, keys: set, what: str, where: int | str | None = None) -> dict:
+    """obj, checked to be a JSON object that holds every key in `keys`."""
     if not isinstance(obj, dict):
-        raise SchemaError("batch must be a JSON object", where)
+        raise SchemaError(f"{what} must be a JSON object", where)
     missing = keys - obj.keys()
     if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", where)
+        raise SchemaError(f"{what} missing keys {sorted(missing)}", where)
+    return obj
+
+
+def _check_entry(obj, keys: set, where: int | str) -> tuple[int, int, bool]:
+    """(t, l, transition) of a JSONL line or CSV sidecar entry `where`, checked."""
+    _object(obj, keys, "batch", where)
     t, l, transition = obj["t"], obj["l"], obj["transition"]
     for name, v in (("t", t), ("l", l)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -81,18 +111,37 @@ def _open(target, mode: str):
             yield fh
 
 
-def _iter_jsonl(source):
-    """(batch, line number) of each non-blank line of a JSONL path or file object."""
+def _json(text: str, where: int | str | None = None):
+    """The JSON value of `text`; SchemaError at `where` if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", where) from None
+
+
+def read_json(path, label: str):
+    """The one JSON document in the file at `path`, named `label` in errors."""
+    return _json(Path(path).read_text(), label)
+
+
+def _json_lines(source):
+    """(value, line number) of each non-blank line of a JSONL path or file object."""
     with _open(source, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from None
-            yield _parse_batch(obj, line_no), line_no
+            if raw.strip():
+                yield _json(raw, line_no), line_no
+
+
+def _write_json_lines(docs, target) -> int:
+    """Each doc as one sorted-key JSON line, flushed per line; returns the count."""
+    count = 0
+    with _open(target, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True))
+            fh.write("\n")
+            fh.flush()
+            count += 1
+    return count
 
 
 def _cell(text: str) -> float:
@@ -107,10 +156,7 @@ def _iter_csv(path: Path, sidecar: Path):
     """(batch, sidecar entry label) of each sidecar entry's CSV rows."""
     if not sidecar.exists():
         raise SchemaError(f"sidecar metadata file not found: {sidecar}")
-    try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"sidecar is not valid JSON: {exc.msg}") from None
+    meta = read_json(sidecar, "sidecar")
     if not isinstance(meta, list) or not meta:
         raise SchemaError("sidecar must be a non-empty list of row-range entries")
     try:
@@ -151,24 +197,18 @@ def read_stream(source, sidecar=None):
         side = Path(source).with_suffix(".meta.json") if sidecar is None else Path(sidecar)
         located = _iter_csv(Path(source), side)
     else:
-        located = _iter_jsonl(source)
+        located = ((_parse_batch(obj, n), n) for obj, n in _json_lines(source))
     yield from _in_order(located)
 
 
 def write_stream(batches, path) -> int:
     """Write batches as JSON Lines; returns the number written."""
-    count = 0
-    with _open(path, "w") as fh:
-        for batch in batches:
-            fh.write(json.dumps({
-                "t": int(batch.t),
-                "l": int(batch.l),
-                "transition": bool(batch.transition),
-                "x": [[float(v) for v in row] for row in np.asarray(batch.x)],
-            }, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    return _write_json_lines(({
+        "t": int(batch.t),
+        "l": int(batch.l),
+        "transition": bool(batch.transition),
+        "x": [[float(v) for v in row] for row in np.asarray(batch.x)],
+    } for batch in batches), path)
 
 
 def write_csv_stream(batches, path) -> int:
@@ -193,7 +233,7 @@ def write_csv_stream(batches, path) -> int:
     return count
 
 
-def record_to_dict(record) -> dict:
+def record_to_dict(record: EpisodeRecord) -> dict:
     """JSON-ready form of one per-batch estimate record."""
     return {
         "t": int(record.t),
@@ -211,35 +251,14 @@ def write_results(records, path) -> int:
 
     Accepts per-batch record objects or dicts already in JSON-ready form.
     """
-    count = 0
-    with _open(path, "w") as fh:
-        for record in records:
-            if not isinstance(record, dict):
-                record = record_to_dict(record)
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-            fh.flush()
-            count += 1
-    return count
+    return _write_json_lines((r if isinstance(r, dict) else record_to_dict(r)
+                              for r in records), path)
 
 
 def read_results(path) -> list[dict]:
     """Parse a results file back into dicts (adjacencies as nested lists)."""
-    out = []
-    with _open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from None
-            for key in ("t", "l", "a_est", "best_reward", "xi", "wall_ms", "converged"):
-                if key not in obj:
-                    raise SchemaError(f"result record missing key {key!r}", line_no)
-            out.append(obj)
-    return out
+    keys = {f.name for f in fields(EpisodeRecord)}
+    return [_object(obj, keys, "result record", n) for obj, n in _json_lines(path)]
 
 
 def write_truth(truth, path):
@@ -260,12 +279,7 @@ def write_truth(truth, path):
 
 
 def read_truth(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"truth file is not valid JSON: {exc.msg}") from None
-    for key in ("d", "m", "mechanism", "adjacencies"):
-        if key not in doc:
-            raise SchemaError(f"truth file missing key {key!r}")
+    doc = _object(read_json(path, "truth file"), {"d", "m", "mechanism", "adjacencies"},
+                  "truth file")
     doc["adjacencies"] = [np.asarray(g, dtype=np.int8) for g in doc["adjacencies"]]
     return doc

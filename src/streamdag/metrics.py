@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError
+from .graphs import graph_size
 
 
 @dataclass
@@ -45,19 +46,9 @@ class RankingReport:
                 "mrr": self.mrr}
 
 
-def _check_pair(a_true: np.ndarray, a_est: np.ndarray) -> int:
-    a_true = np.asarray(a_true)
-    a_est = np.asarray(a_est)
-    if a_true.shape != a_est.shape or a_true.ndim != 2 or a_true.shape[0] != a_true.shape[1]:
-        raise DimensionMismatchError(
-            f"graphs must share a square shape, got {a_true.shape} vs {a_est.shape}"
-        )
-    return a_true.shape[0]
-
-
 def shd(a_true: np.ndarray, a_est: np.ndarray) -> int:
     """Differing unordered-pair patterns; a reversed edge costs 1."""
-    d = _check_pair(a_true, a_est)
+    d = graph_size(a_true, a_est)
     iu, ju = np.triu_indices(d, k=1)
     pat_true = np.asarray(a_true)[iu, ju] * 2 + np.asarray(a_true)[ju, iu]
     pat_est = np.asarray(a_est)[iu, ju] * 2 + np.asarray(a_est)[ju, iu]
@@ -109,7 +100,7 @@ def d_connected(adj: np.ndarray, x: int, z: np.ndarray) -> np.ndarray:
 
 def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
     """Count ordered pairs whose parent-adjustment in the estimate fails in the truth."""
-    d = _check_pair(a_true, a_est)
+    d = graph_size(a_true, a_est)
     g = np.asarray(a_true, dtype=np.int8)
     h = np.asarray(a_est, dtype=np.int8)
     mistakes = 0
@@ -133,7 +124,7 @@ def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
     AUROC rates the 0/1 estimate over the off-diagonal cells, ties counting
     half: (TPR + TNR) / 2, and 0.5 when the truth has no edge or no non-edge.
     """
-    d = _check_pair(a_true, a_est)
+    d = graph_size(a_true, a_est)
     t = np.asarray(a_true, dtype=bool)
     e = np.asarray(a_est, dtype=bool)
     off = ~np.eye(d, dtype=bool)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
+from .graphs import graph_size
 
 # Lower bound on a normal-window sigma, so a constant column scores finitely.
 _SIGMA_FLOOR = 1e-12
@@ -39,9 +40,7 @@ class RwrConfig:
 def rank_root_causes(adj: np.ndarray, cfg: RwrConfig) -> list[tuple[int, float]]:
     """Nodes sorted by stationary visit probability, ties broken by index."""
     a = np.asarray(adj)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
+    d = graph_size(a)
     if cfg.anomaly_scores.shape != (d,):
         raise DimensionMismatchError(
             f"anomaly_scores length {cfg.anomaly_scores.shape[0]} does not match d={d}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from streamdag.cli import main
-from streamdag.io import read_results, read_truth, write_results, write_stream
+from streamdag.io import StreamBatch, read_results, read_truth, write_results, write_stream
 from streamdag.synth import SynthConfig, generate
 
 
@@ -207,6 +207,51 @@ def test_invalid_engine_config_exits_1(tmp_path, capsys):
     assert main(["run", "--stream", str(tmp_path / "s.jsonl"),
                  "--mode", "marlin", "--workers", "3"]) == 1
     assert "single worker" in capsys.readouterr().err
+
+
+def test_malformed_results_truth_or_config_exits_1(tmp_path, capsys):
+    assert main(_synth_args(tmp_path)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    five = tmp_path / "five.json"
+    five.write_text("5\n")
+    results, truth = ["--results", str(tmp_path / "r.jsonl")], ["--truth", str(tmp_path / "t.json")]
+    capsys.readouterr()
+    assert main(["eval", "--results", str(five), *truth]) == 1
+    assert "line 1: result record must be a JSON object" in capsys.readouterr().err
+    assert main(["eval", *results, "--truth", str(five)]) == 1
+    assert "truth file must be a JSON object" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad")
+    assert main(["eval", *results, *truth, "--config", str(cfg)]) == 1
+    assert "config file: invalid JSON" in capsys.readouterr().err
+
+
+def test_too_little_data_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    stream, out = tmp_path / "short.jsonl", tmp_path / "short_r.jsonl"
+    write_stream([StreamBatch(t=1, l=1, transition=False, x=rng.standard_normal((20, 4))),
+                  StreamBatch(t=2, l=1, transition=True, x=rng.standard_normal((3, 4)))],
+                 stream)
+    assert main(["run", "--stream", str(stream), "--episodes", "2", "--out", str(out)]) == 1
+    assert "rows" in capsys.readouterr().err
+    assert [r["t"] for r in read_results(out)] == [1]       # the first state's line is kept
+    assert main(_synth_args(tmp_path)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    doc = {**json.loads((tmp_path / "t.json").read_text()), "m": 3}
+    doc["adjacencies"].append(doc["adjacencies"][-1])
+    (tmp_path / "t3.json").write_text(json.dumps(doc))
+    results = ["--results", str(tmp_path / "r.jsonl")]
+    window = ["rca", *results, "--stream", str(tmp_path / "s.jsonl"), "--state", "1"]
+    capsys.readouterr()
+    for argv, fragment in [
+        (["eval", *results, "--truth", str(tmp_path / "t3.json")], "no records for state 3"),
+        ([*window, "--rows", "1:5"], "at least 2 rows"),
+        ([*window, "--rows", "30:40", "--roots", ""], "root set is empty"),
+    ]:
+        assert main(argv) == 1
+        assert fragment in capsys.readouterr().err
 
 
 def test_no_command_prints_usage(capsys):

@@ -1,8 +1,11 @@
 """Action-to-DAG mapping, acyclicity, decomposition, complement."""
 
+import re
+
 import numpy as np
 import pytest
 
+from streamdag.engine import graph_similarity
 from streamdag.errors import CyclicGraphError, DimensionMismatchError, InvalidActionError
 from streamdag.graphs import (
     action_dim,
@@ -15,6 +18,8 @@ from streamdag.graphs import (
     split_action,
     topological_order,
 )
+from streamdag.metrics import shd, sid, structure_metrics
+from streamdag.rca import RwrConfig, rank_root_causes
 
 from oracles import enumerate_dags, is_acyclic_dfs, topo_sort_reference
 
@@ -113,6 +118,25 @@ def test_topological_order_raises_on_cycle():
 def test_graph_checks_reject_a_non_square_matrix(check):
     with pytest.raises(DimensionMismatchError):
         check(np.zeros((2, 3), dtype=np.int8))
+
+
+def _rank(adj):
+    return rank_root_causes(adj, RwrConfig(anomaly_scores=np.ones(2)))
+
+
+@pytest.mark.parametrize("check,pair", [
+    (topological_order, False), (_rank, False), (shd, True), (sid, True),
+    (structure_metrics, True), (graph_similarity, True),
+], ids=["topological_order", "rank_root_causes", "shd", "sid", "structure_metrics",
+        "graph_similarity"])
+def test_every_square_shape_check_gives_one_message(check, pair):
+    msg = "graphs must share a square shape, got "
+    bad = np.zeros((2, 3), dtype=np.int8)
+    with pytest.raises(DimensionMismatchError, match=re.escape(msg + "(2, 3)")):
+        check(bad, bad) if pair else check(bad)
+    if pair:
+        with pytest.raises(DimensionMismatchError, match=re.escape(msg + "(3, 3) vs (2, 2)")):
+            check(np.zeros((3, 3), dtype=np.int8), np.zeros((2, 2), dtype=np.int8))
 
 
 def test_decompose_worked_example():

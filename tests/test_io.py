@@ -227,6 +227,31 @@ def test_results_validation():
     assert "missing key" in str(err.value)
     with pytest.raises(SchemaError):
         read_results(io.StringIO("nonsense\n"))
+    with pytest.raises(SchemaError, match="line 2: result record must be a JSON object"):
+        read_results(io.StringIO(json.dumps(record_to_dict(_record(1, 1))) + "\n5\n"))
+
+
+class _FlushCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+def test_json_lines_bytes_and_one_flush_per_line():
+    buf = _FlushCounter()
+    x = np.array([[1.5, -2.0], [0.1, 3.0]])
+    assert write_stream([StreamBatch(t=1, l=2, transition=True, x=x)] * 2, buf) == 2
+    line = '{"l": 2, "t": 1, "transition": true, "x": [[1.5, -2.0], [0.1, 3.0]]}\n'
+    assert buf.getvalue() == line * 2 and buf.flushes == 2
+    buf = _FlushCounter()
+    assert write_results([_record(1, 1)] * 3, buf) == 3
+    line = ('{"a_est": [[0, 1], [0, 0]], "best_reward": -3.5, "converged": false, '
+            '"l": 1, "t": 1, "wall_ms": 1.5, "xi": 0.25}\n')
+    assert buf.getvalue() == line * 3 and buf.flushes == 3
 
 
 def test_truth_roundtrip(tmp_path):
@@ -246,4 +271,7 @@ def test_truth_validation(tmp_path):
         read_truth(path)
     path.write_text("not json")
     with pytest.raises(SchemaError):
+        read_truth(path)
+    path.write_text("5")
+    with pytest.raises(SchemaError, match="truth file must be a JSON object"):
         read_truth(path)
