@@ -97,7 +97,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--lambda1", typ=float, default=0.1, helptext="decoupling weight, state-specific reward")
     flag(p, "--lambda2", typ=float, default=0.1, helptext="decoupling weight, state-invariant reward")
     flag(p, "--gamma", typ=float, default=0.99, helptext="baseline smoothing factor")
-    flag(p, "--xi-threshold", typ=float, default=0.98, helptext="convergence early-exit threshold")
+    flag(p, "--xi-threshold", typ=float, default=0.98,
+         helptext="early exit once xi exceeds it, i.e. once fewer than "
+                  "(1 - xi_threshold) * d(d-1) / 0.98861 edge cells flip between batches")
     flag(p, "--episodes", typ=int, default=64, helptext="training episodes per batch")
     flag(p, "--seed", typ=int, default=0)
     flag(p, "--score", choices=sorted(BACKENDS), default="linear", helptext="regression family for the fit score")
@@ -264,7 +266,7 @@ def _cmd_rca(opts: dict) -> int:
     doc = {
         "state": state,
         "rows": [row_start, row_stop],
-        "anomaly_scores": [float(v) for v in scores],
+        "anomaly_scores": np.asarray(scores, dtype=float).tolist(),
         "ranking": [[node, score] for node, score in ranked],
     }
     if opts["roots"] is not None:

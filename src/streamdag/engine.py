@@ -51,7 +51,10 @@ from .scoring import (
 
 MODES = ("marlin", "marlin-s", "marlin-m")
 
-_JS_EPS = 1e-3
+# An edge cell v is smoothed to the Bernoulli (v + 1e-3) / 1.002, so a flipped
+# cell compares p with 1 - p; their base-2 JS divergence is 1 - H2(p).
+_JS_P = 1e-3 / (1.0 + 2e-3)
+_JS_FLIP = 1.0 + _JS_P * np.log2(_JS_P) + (1.0 - _JS_P) * np.log2(1.0 - _JS_P)
 
 # Episodes per policy update: each agent encodes once, draws this many
 # actions from one decoded policy and takes one Adam step on all of them.
@@ -93,25 +96,15 @@ class OnlineConfig:
 def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
     """1 minus the mean base-2 JS divergence over off-diagonal edge cells.
 
-    Each cell is a Laplace-smoothed Bernoulli p = (v + eps) / (1 + 2 eps) with
-    eps = _JS_EPS, so identical graphs give 1 and fully complementary graphs
-    approach 0.
+    Agreeing cells add 0 and each flipped cell _JS_FLIP (about 0.98861), so
+    identical graphs give 1 and fully complementary graphs about 0.011.
     """
-    a = np.asarray(g_prev, dtype=float)
-    b = np.asarray(g_cur, dtype=float)
+    a, b = np.asarray(g_prev), np.asarray(g_cur)
     d = graph_size(a, b)
     if d < 2:
         return 1.0
-    off = ~np.eye(d, dtype=bool)
-    p = (a[off] + _JS_EPS) / (1.0 + 2.0 * _JS_EPS)
-    q = (b[off] + _JS_EPS) / (1.0 + 2.0 * _JS_EPS)
-
-    def kl(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u * np.log2(u / v) + (1.0 - u) * np.log2((1.0 - u) / (1.0 - v))
-
-    m = 0.5 * (p + q)
-    js = 0.5 * kl(p, m) + 0.5 * kl(q, m)
-    return float(1.0 - js.mean())
+    flipped = np.count_nonzero((a != b) & ~np.eye(d, dtype=bool))
+    return float(1.0 - _JS_FLIP * flipped / (d * (d - 1)))
 
 
 class EpisodeDags(NamedTuple):

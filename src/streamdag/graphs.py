@@ -134,4 +134,4 @@ def random_dag(d: int, edge_prob: float, rng: np.random.Generator) -> np.ndarray
 
 def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
     """Row-major nested lists of 0/1 ints, the JSON wire form."""
-    return [[int(v) for v in row] for row in np.asarray(adj)]
+    return np.asarray(adj).astype(int).tolist()

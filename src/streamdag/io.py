@@ -9,17 +9,21 @@ ranges to (t, l), checked as strictly as JSONL.  Both readers yield each
 batch with its place in the file, and one check (_in_order) rejects, in
 either format, a column count that drifts or a (t, l) that does not
 increase.  Results are JSON Lines of per-batch estimates (EpisodeRecord,
-declared here beside record_to_dict), flushed per line so downstream
-consumers can follow a run in progress.  Every JSON file goes through one
-codec: _json parses, read_json reads a document, _json_lines and
-_write_json_lines read and write JSON Lines.
+declared here beside the check of each of its fields, _RECORD_FIELDS, and
+record_to_dict), flushed per line so downstream consumers can follow a run
+in progress.  Every JSON file goes through one codec: _json parses,
+read_json reads a document, _json_lines and _write_json_lines read and
+write JSON Lines; _object checks a document's keys and their values.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +53,11 @@ class EpisodeRecord:
     state's rows so far (on a converged record: up to the state's last
     learning batch).  xi is the similarity between the fused DAGs of the
     best episodes of this and the state's previous learning batch: 0 on a
-    state's first batch, 1 on a converged record.  The agents' own DAGs
-    stay in the engine (OnlineEngine.best_dags).
+    state's first batch, 1 on a converged record, and otherwise
+    1 - 0.98861 * flipped / (d(d-1)) for the count of off-diagonal cells
+    that flipped (engine.graph_similarity).  So xi > xi_threshold means
+    fewer than (1 - xi_threshold) * d(d-1) / 0.98861 cells flipped.  The
+    agents' own DAGs stay in the engine (OnlineEngine.best_dags).
     """
 
     t: int
@@ -62,30 +69,47 @@ class EpisodeRecord:
     converged: bool
 
 
-def _object(obj, keys: set, what: str, where: int | str | None = None) -> dict:
-    """obj, checked to be a JSON object that holds every key in `keys`."""
+def _is_adjacency(v, d: int | None = None) -> bool:
+    """True iff v is a non-empty square nested list of 0/1 ints, d x d if d is given."""
+    if not isinstance(v, list) or not v or (d is not None and len(v) != d):
+        return False
+    if not all(isinstance(row, list) and len(row) == len(v) for row in v):
+        return False
+    cells = list(chain.from_iterable(v))
+    return set(map(type, cells)) == {int} and set(cells) <= {0, 1}
+
+
+# Field checks: (test, what it wants) per key; None leaves a value to its reader.
+_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+           "a finite number")
+_BOOL = (lambda v: isinstance(v, bool), "a boolean")
+# A batch's place in the stream, on a JSONL line or a CSV sidecar entry.
+_ENTRY_FIELDS = {"t": _COUNT, "l": _COUNT, "transition": _BOOL}
+# The JSON value of each EpisodeRecord field on a results line.
+_RECORD_FIELDS = {"t": _COUNT, "l": _COUNT, "a_est": (_is_adjacency, "a square 0/1 matrix"),
+                  "best_reward": _NUMBER, "xi": _NUMBER, "wall_ms": _NUMBER, "converged": _BOOL}
+_TRUTH_FIELDS = {"d": _COUNT, "m": _COUNT, "mechanism": None,
+                 "adjacencies": (lambda v: isinstance(v, list), "a list")}
+
+
+def _object(obj, checks: dict, what: str, where: int | str | None = None) -> dict:
+    """obj, checked to be a JSON object that holds every key in `checks`,
+    each value passing its check."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object", where)
-    missing = keys - obj.keys()
+    missing = checks.keys() - obj.keys()
     if missing:
         raise SchemaError(f"{what} missing keys {sorted(missing)}", where)
+    for key, check in checks.items():
+        if check is not None and not check[0](obj[key]):
+            raise SchemaError(f"{what} {key} must be {check[1]}, got {reprlib.repr(obj[key])}",
+                              where)
     return obj
 
 
-def _check_entry(obj, keys: set, where: int | str) -> tuple[int, int, bool]:
-    """(t, l, transition) of a JSONL line or CSV sidecar entry `where`, checked."""
-    _object(obj, keys, "batch", where)
-    t, l, transition = obj["t"], obj["l"], obj["transition"]
-    for name, v in (("t", t), ("l", l)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise SchemaError(f"{name} must be an integer >= 1, got {v!r}", where)
-    if not isinstance(transition, bool):
-        raise SchemaError(f"transition must be a boolean, got {transition!r}", where)
-    return t, l, transition
-
-
 def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
-    t, l, transition = _check_entry(obj, {"t", "l", "transition", "x"}, line_no)
+    _object(obj, {**_ENTRY_FIELDS, "x": None}, "batch", line_no)
     x = obj["x"]
     if not isinstance(x, list) or not x or not all(isinstance(r, list) for r in x):
         raise SchemaError("x must be a non-empty list of rows", line_no)
@@ -98,7 +122,7 @@ def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
         raise SchemaError("x entries must be numbers", line_no) from None
     if not np.isfinite(mat).all():
         raise SchemaError("x entries must be finite", line_no)
-    return StreamBatch(t=t, l=l, transition=transition, x=mat)
+    return StreamBatch(t=obj["t"], l=obj["l"], transition=obj["transition"], x=mat)
 
 
 @contextmanager
@@ -165,14 +189,15 @@ def _iter_csv(path: Path, sidecar: Path):
         raise SchemaError(f"CSV rows must be rectangular: {exc}") from None
     for entry_no, entry in enumerate(meta, start=1):
         where = f"sidecar entry {entry_no}"
-        t, l, transition = _check_entry(entry, {"t", "l", "transition", "start", "stop"}, where)
+        _object(entry, {**_ENTRY_FIELDS, "start": None, "stop": None}, "batch", where)
         start, stop = entry["start"], entry["stop"]
         if not (isinstance(start, int) and isinstance(stop, int)
                 and 0 <= start < stop <= rows.shape[0]):
             raise SchemaError(f"invalid row range [{start}, {stop})", where)
         if not np.isfinite(rows[start:stop]).all():
             raise SchemaError(f"cells in rows [{start}, {stop}) must be finite numbers", where)
-        yield StreamBatch(t=t, l=l, transition=transition, x=rows[start:stop]), where
+        yield StreamBatch(t=entry["t"], l=entry["l"], transition=entry["transition"],
+                          x=rows[start:stop]), where
 
 
 def _in_order(located):
@@ -207,7 +232,7 @@ def write_stream(batches, path) -> int:
         "t": int(batch.t),
         "l": int(batch.l),
         "transition": bool(batch.transition),
-        "x": [[float(v) for v in row] for row in np.asarray(batch.x)],
+        "x": np.asarray(batch.x, dtype=float).tolist(),
     } for batch in batches), path)
 
 
@@ -256,9 +281,9 @@ def write_results(records, path) -> int:
 
 
 def read_results(path) -> list[dict]:
-    """Parse a results file back into dicts (adjacencies as nested lists)."""
-    keys = {f.name for f in fields(EpisodeRecord)}
-    return [_object(obj, keys, "result record", n) for obj, n in _json_lines(path)]
+    """Parse a results file back into dicts (adjacencies as nested lists),
+    each line checked field by field."""
+    return [_object(obj, _RECORD_FIELDS, "result record", n) for obj, n in _json_lines(path)]
 
 
 def write_truth(truth, path):
@@ -268,7 +293,7 @@ def write_truth(truth, path):
         "m": len(truth.adjacencies),
         "mechanism": truth.mechanism,
         "adjacencies": [matrix_to_lists(g) for g in truth.adjacencies],
-        "weights": [[[float(v) for v in row] for row in truth.weights_for(t)]
+        "weights": [np.asarray(truth.weights_for(t), dtype=float).tolist()
                     for t in range(1, len(truth.adjacencies) + 1)],
         "seed": int(truth.config.seed),
         "e": float(truth.config.e),
@@ -279,7 +304,10 @@ def write_truth(truth, path):
 
 
 def read_truth(path) -> dict:
-    doc = _object(read_json(path, "truth file"), {"d", "m", "mechanism", "adjacencies"},
-                  "truth file")
-    doc["adjacencies"] = [np.asarray(g, dtype=np.int8) for g in doc["adjacencies"]]
+    """The ground-truth document, with m d x d 0/1 adjacencies as int8 arrays."""
+    doc = _object(read_json(path, "truth file"), _TRUTH_FIELDS, "truth file")
+    d, m, adjs = doc["d"], doc["m"], doc["adjacencies"]
+    if len(adjs) != m or not all(_is_adjacency(g, d) for g in adjs):
+        raise SchemaError(f"truth file adjacencies must be m={m} {d} x {d} 0/1 matrices")
+    doc["adjacencies"] = [np.asarray(g, dtype=np.int8) for g in adjs]
     return doc

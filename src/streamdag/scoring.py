@@ -75,8 +75,6 @@ class ScoreConfig:
 
 @dataclass
 class RewardBreakdown:
-    bic: float | np.ndarray
-    decouple: float | np.ndarray
     total: float | np.ndarray
 
 
@@ -221,13 +219,8 @@ class BatchScorer:
             raise DimensionMismatchError(
                 f"adjacency shape {a.shape} does not match batch with d={self.d}"
             )
-        n = self.n
-        total = 0.0
-        for j in range(self.d):
-            rss = self.node_rss(j, np.flatnonzero(a[:, j]))
-            total += n * np.log(max(rss / n, _RSS_FLOOR))
-        total += int(a.sum()) * np.log(n)
-        return float(total)
+        rss = [self.node_rss(j, np.flatnonzero(a[:, j])) for j in range(self.d)]
+        return float(self._bic(np.array([rss]), a[None])[0])
 
     def score_many(self, adjs: np.ndarray) -> np.ndarray:
         """score() of each DAG in a (k, d, d) stack, from one batched RSS pass."""
@@ -237,14 +230,18 @@ class BatchScorer:
             raise DimensionMismatchError(
                 f"adjacency stack shape {a.shape} does not match batch with d={d}"
             )
-        n = self.n
         masks = ((a != 0).astype(np.int64) << np.arange(d)[:, None]).sum(axis=1)
         rss = self._rss(np.broadcast_to(np.arange(d), masks.shape).ravel(), masks.ravel())
-        terms = n * np.log(np.maximum(rss.reshape(masks.shape) / n, _RSS_FLOOR))
-        total = np.zeros(len(a))
-        for term in terms.T:          # node order, as score() adds them
+        return self._bic(rss.reshape(masks.shape), a)
+
+    def _bic(self, rss: np.ndarray, adjs: np.ndarray) -> np.ndarray:
+        """BIC of each DAG in a (k, d, d) stack from its (k, d) node RSS."""
+        n = self.n
+        terms = n * np.log(np.maximum(rss / n, _RSS_FLOOR))
+        total = np.zeros(len(adjs))
+        for term in terms.T:          # one node at a time, in node order
             total += term
-        return total + a.reshape(len(a), -1).sum(axis=1) * np.log(n)
+        return total + adjs.reshape(len(adjs), -1).sum(axis=1) * np.log(n)
 
     # -- ordering search ---------------------------------------------------------
 
@@ -476,14 +473,13 @@ def bic_score(adj: np.ndarray, x: np.ndarray, cfg: ScoreConfig) -> float:
     return BatchScorer(x, cfg).score(adj)
 
 
-def _sq_fro(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Squared Frobenius distance of a graph, or of each in a stack, to b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _sq_fro(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
+    """Squared Frobenius distance of a 0/1 graph, or of each in a stack, to
+    0/1 graph b: the number of cells on which they differ."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    return np.sum(diff * diff, axis=(-2, -1))
+    return np.count_nonzero(a != b, axis=(-2, -1))
 
 
 def decouple_specific(a_spec: np.ndarray, a_inv_prev: np.ndarray,
@@ -511,7 +507,7 @@ def decouple_invariant(a_inv: np.ndarray, a_spec_prev: np.ndarray,
 
 
 def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> RewardBreakdown:
-    """Total agent reward: -bic + lambda * decouple, with the breakdown kept.
+    """Total agent reward: -bic + lambda * decouple.
 
     bic and decouple are numbers, or arrays of one term per episode.
     """
@@ -521,4 +517,4 @@ def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> RewardBreakdown:
         lam = cfg.penalty_lambda2
     else:
         raise ConfigError(f"unknown agent kind {kind!r}")
-    return RewardBreakdown(bic=bic, decouple=decouple, total=-bic + lam * decouple)
+    return RewardBreakdown(total=-bic + lam * decouple)

@@ -227,6 +227,66 @@ def test_malformed_results_truth_or_config_exits_1(tmp_path, capsys):
     assert "config file: invalid JSON" in capsys.readouterr().err
 
 
+_BAD_FIELDS = {
+    "a_est-x": ("a_est", "x", "a_est must be a square 0/1 matrix, got 'x'"),
+    "a_est-cell-2": ("a_est", [[0, 2, 0, 0]] + [[0] * 4] * 3, "a_est must be a square 0/1 matrix"),
+    "wall_ms-fast": ("wall_ms", "fast", "wall_ms must be a finite number, got 'fast'"),
+    "t-string": ("t", "1", "t must be an integer >= 1, got '1'"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "rca"])
+@pytest.mark.parametrize("field,value,fragment", _BAD_FIELDS.values(), ids=_BAD_FIELDS)
+def test_malformed_result_field_exits_1(tmp_path, capsys, command, field, value, fragment):
+    """The last line, state 2's final record, carries one bad value."""
+    assert main(_synth_args(tmp_path)) == 0
+    results = tmp_path / "r.jsonl"
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--out", str(results)]) == 0
+    lines = [json.loads(line) for line in results.read_text().splitlines()]
+    lines[-1][field] = value
+    results.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    argv = {"eval": ["eval", "--truth", str(tmp_path / "t.json")],
+            "rca": ["rca", "--stream", str(tmp_path / "s.jsonl"), "--state", "2",
+                    "--rows", "30:60"]}[command]
+    assert main([*argv, "--results", str(results)]) == 1
+    assert f"line 4: result record {fragment}" in capsys.readouterr().err
+
+
+def test_malformed_truth_field_exits_1(tmp_path, capsys):
+    assert main(_synth_args(tmp_path)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    doc = {**json.loads((tmp_path / "t.json").read_text()), "m": "x"}
+    (tmp_path / "t.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--results", str(tmp_path / "r.jsonl"),
+                 "--truth", str(tmp_path / "t.json")]) == 1
+    assert "truth file m must be an integer >= 1, got 'x'" in capsys.readouterr().err
+
+
+def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):
+    synth = ["synth", "--d=4", "--m=2", "--n-per-state=60", "--batch-size=30", "--seed=3"]
+    assert main([*synth, "--out", str(tmp_path / "j.jsonl"),
+                 "--truth", str(tmp_path / "tj.json")]) == 0
+    # --csv appends .csv to an out path without it, and writes the sidecar beside it
+    assert main([*synth, "--csv", "--out", str(tmp_path / "s"),
+                 "--truth", str(tmp_path / "tc.json")]) == 0
+    assert (tmp_path / "s.csv").exists() and (tmp_path / "s.meta.json").exists()
+    assert (tmp_path / "tc.json").read_bytes() == (tmp_path / "tj.json").read_bytes()
+    run = ["run", "--episodes", "4", "--seed", "3", "--no-timing"]
+    assert main([*run, "--stream", str(tmp_path / "j.jsonl"),
+                 "--out", str(tmp_path / "rj.jsonl")]) == 0
+    assert main([*run, "--stream", str(tmp_path / "s.csv"),
+                 "--out", str(tmp_path / "rc.jsonl")]) == 0
+    assert (tmp_path / "rc.jsonl").read_bytes() == (tmp_path / "rj.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["eval", "--results", str(tmp_path / "rc.jsonl"),
+                 "--truth", str(tmp_path / "tc.json")]) == 0
+    assert "avg" in capsys.readouterr().out
+
+
 def test_too_little_data_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     stream, out = tmp_path / "short.jsonl", tmp_path / "short_r.jsonl"

@@ -132,6 +132,20 @@ def test_similarity_edge_cases():
     assert graph_similarity(g, h) < 0.05
 
 
+@pytest.mark.parametrize("d,tau,most", [(10, 0.98, 1), (6, 0.8, 6), (20, 0.98, 7)])
+def test_xi_threshold_is_a_count_of_flipped_cells(d, tau, most):
+    """xi > tau iff fewer than (1 - tau) d(d-1) / 0.98861 off-diagonal cells
+    flipped: at most 1 of 90 (desk), 6 of 30 (steady), 7 of 380 (wide)."""
+    g = np.zeros((d, d), dtype=np.int8)
+    cells = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for flips in range(most + 3):
+        h = g.copy()
+        for i, j in cells[:flips]:
+            h[i, j] = 1
+        assert graph_similarity(g, h) == pytest.approx(1 - 0.98861213 * flips / (d * (d - 1)))
+        assert (graph_similarity(g, h) > tau) == (flips <= most)
+
+
 def test_first_batch_record_fields():
     eng = OnlineEngine(d=2, cfg=OnlineConfig(episodes_per_batch=4, seed=1))
     rec = eng.process_batch(_easy_batches(1)[0])

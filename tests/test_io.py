@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from streamdag.engine import EpisodeRecord
 from streamdag.errors import SchemaError
 from streamdag.io import (
+    _RECORD_FIELDS,
     StreamBatch,
     read_results,
     read_stream,
@@ -231,6 +234,34 @@ def test_results_validation():
         read_results(io.StringIO(json.dumps(record_to_dict(_record(1, 1))) + "\n5\n"))
 
 
+def test_every_record_field_has_a_check():
+    assert list(_RECORD_FIELDS) == [f.name for f in fields(EpisodeRecord)]
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    ("t", 0, "t must be an integer >= 1, got 0"),
+    ("l", True, "l must be an integer >= 1, got True"),
+    ("l", 1.0, "l must be an integer >= 1"),
+    ("a_est", [[0, 1]], "a_est must be a square 0/1 matrix"),
+    ("a_est", [], "a_est must be a square 0/1 matrix"),
+    ("a_est", [[0, True], [0, 0]], "a_est must be a square 0/1 matrix"),
+    ("a_est", [[0, 1.0], [0, 0]], "a_est must be a square 0/1 matrix"),
+    ("a_est", [[0, -1], [0, 0]], "a_est must be a square 0/1 matrix"),
+    ("best_reward", float("nan"), "best_reward must be a finite number, got nan"),
+    ("xi", float("inf"), "xi must be a finite number"),
+    ("xi", None, "xi must be a finite number"),
+    ("wall_ms", False, "wall_ms must be a finite number"),
+    ("converged", 1, "converged must be a boolean, got 1"),
+])
+def test_results_field_values_are_checked(field, value, fragment):
+    good = record_to_dict(_record(1, 1))
+    text = json.dumps(good) + "\n" + json.dumps({**good, "l": 2, field: value}) + "\n"
+    with pytest.raises(SchemaError, match=f"line 2: result record {fragment}"):
+        read_results(io.StringIO(text))
+    # an integer is a number
+    assert read_results(io.StringIO(json.dumps({**good, "best_reward": 3})))[0]["best_reward"] == 3
+
+
 class _FlushCounter(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -274,4 +305,21 @@ def test_truth_validation(tmp_path):
         read_truth(path)
     path.write_text("5")
     with pytest.raises(SchemaError, match="truth file must be a JSON object"):
+        read_truth(path)
+
+
+@pytest.mark.parametrize("change,fragment", [
+    ({"m": "x"}, "truth file m must be an integer >= 1, got 'x'"),
+    ({"d": 2.5}, "truth file d must be an integer >= 1"),
+    ({"adjacencies": {}}, "truth file adjacencies must be a list"),
+    ({"m": 3}, "adjacencies must be m=3 3 x 3 0/1 matrices"),
+    ({"d": 4}, "adjacencies must be m=2 4 x 4 0/1 matrices"),
+    ({"adjacencies": [[[0, 2, 0], [0, 0, 0], [0, 0, 0]]] * 2}, "0/1 matrices"),
+])
+def test_truth_field_values_are_checked(tmp_path, change, fragment):
+    _, truth = generate(SynthConfig(d=3, m=2, n_per_state=20, batch_size=10, seed=2))
+    path = tmp_path / "t.json"
+    write_truth(truth, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(SchemaError, match=re.escape(fragment)):
         read_truth(path)

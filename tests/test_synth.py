@@ -1,5 +1,7 @@
 """Synthetic stream generator tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,20 @@ def test_quadratic_mechanism_unit_case():
                 + 3.0 * x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2
                 + 4.0 * x[:, 0] * x[:, 1])
     assert np.abs(x[:, 2] - expected).max() < 1e-6
+
+
+def test_generate_under_qr_draws_square_and_pair_coefficients():
+    cfg = SynthConfig(d=5, m=3, e=10.0, mechanism="QR", n_per_state=60, batch_size=30, seed=4)
+    batches, truth = generate(cfg)
+    union = np.any([g == 1 for g in truth.adjacencies], axis=0)
+    # square coefficients on exactly the union's edges
+    assert np.array_equal(truth.params.square != 0, union)
+    # one pair vector, of one coefficient per node, for every node pair
+    assert sorted(truth.params.pair) == list(itertools.combinations(range(5), 2))
+    assert all(v.shape == (5,) for v in truth.params.pair.values())
+    assert all(np.isfinite(b.x).all() for b in batches)
+    again, _ = generate(cfg)
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(batches, again, strict=True))
 
 
 def test_noiseless_linear_reconstruction():
