@@ -7,9 +7,10 @@ entries order the nodes (an edge i -> j is admissible only when the
 ordering value of i exceeds that of j), and the remaining d^2 entries are
 thresholded at zero into an edge mask.  Acyclicity is guaranteed by
 construction because every admissible edge points down the ordering.
-For any other graph, topological_order is the one cycle check;
-is_acyclic and dag_decompose go through it.  graph_size is the one
-square-shape check, for graphs here and in engine, metrics and rca.
+For any other graph, is_acyclic is the one cycle check, on one graph or a
+stack, through the reachability closure that SID also reads;
+topological_order orders a DAG for dag_decompose and synth.  graph_size is
+the one square-shape check, for graphs here and in engine, metrics and rca.
 """
 
 from __future__ import annotations
@@ -92,13 +93,29 @@ def topological_order(adj: np.ndarray) -> list[int]:
     return order
 
 
-def is_acyclic(adj: np.ndarray) -> bool:
-    """True iff the graph has a topological order."""
-    try:
-        topological_order(adj)
-    except CyclicGraphError:
-        return False
-    return True
+def reachability(adjs: np.ndarray) -> np.ndarray:
+    """Boolean reflexive-transitive closure of a graph, or of each graph in a
+    (k, d, d) stack: entry (i, j) is True iff j is i or a descendant of i.
+
+    Repeated squaring of I + A, ceil(log2(d - 1)) float products clipped to
+    1, so a path of any length up to d - 1 shows.
+    """
+    a = np.asarray(adjs, dtype=float)
+    d = graph_size(a[0] if a.ndim == 3 else a)     # a stack's graphs share its shape
+    r = np.minimum(a + np.eye(d), 1.0)
+    for _ in range(max(d - 2, 0).bit_length()):
+        r = np.minimum(r @ r, 1.0)
+    return r > 0
+
+
+def is_acyclic(adjs: np.ndarray) -> np.bool_ | np.ndarray:
+    """True iff the graph has no directed cycle, a self-loop included; a
+    (k, d, d) stack gives a boolean array of one verdict per graph.
+
+    A cycle is an edge i -> j whose head j reaches its tail i.
+    """
+    a = np.asarray(adjs) != 0
+    return ~(a & reachability(a).swapaxes(-1, -2)).any(axis=(-2, -1))
 
 
 def dag_decompose(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,9 @@ declared here beside the check of each of its fields, _RECORD_FIELDS, and
 record_to_dict), flushed per line so downstream consumers can follow a run
 in progress.  Every JSON file goes through one codec: _json parses,
 read_json reads a document, _json_lines and _write_json_lines read and
-write JSON Lines; _object checks a document's keys and their values.
+write JSON Lines; _object checks a document's keys and their values.  The
+results and truth readers reject a graph with a directed cycle, found by
+_cyclic over all of a file's graphs as one stack.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .graphs import matrix_to_lists
+from .graphs import is_acyclic, matrix_to_lists
 
 
 @dataclass
@@ -280,10 +282,29 @@ def write_results(records, path) -> int:
                               for r in records), path)
 
 
+def _cyclic(adjs) -> np.ndarray:
+    """Indices of the graphs with a directed cycle in a non-empty list of
+    d x d nested lists of 0/1 ints, checked as one stack."""
+    cells = bytes(chain.from_iterable(chain.from_iterable(adjs)))   # half the time of np.array
+    stack = np.frombuffer(cells, dtype=np.uint8).reshape(len(adjs), len(adjs[0]), -1)
+    return np.flatnonzero(~is_acyclic(stack))
+
+
 def read_results(path) -> list[dict]:
     """Parse a results file back into dicts (adjacencies as nested lists),
-    each line checked field by field."""
-    return [_object(obj, _RECORD_FIELDS, "result record", n) for obj, n in _json_lines(path)]
+    each line checked field by field, and every a_est acyclic and of one size."""
+    records, lines = [], []
+    for obj, n in _json_lines(path):
+        records.append(_object(obj, _RECORD_FIELDS, "result record", n))
+        lines.append(n)
+    adjs = [rec["a_est"] for rec in records]
+    for adj, n in zip(adjs, lines):
+        if len(adj) != len(adjs[0]):
+            d = len(adjs[0])
+            raise SchemaError(f"result record a_est must be {d} x {d} as on line {lines[0]}", n)
+    if adjs and (cyclic := _cyclic(adjs)).size:
+        raise SchemaError("result record a_est has a directed cycle", lines[cyclic[0]])
+    return records
 
 
 def write_truth(truth, path):
@@ -304,10 +325,13 @@ def write_truth(truth, path):
 
 
 def read_truth(path) -> dict:
-    """The ground-truth document, with m d x d 0/1 adjacencies as int8 arrays."""
+    """The ground-truth document, with m acyclic d x d 0/1 adjacencies as int8 arrays."""
     doc = _object(read_json(path, "truth file"), _TRUTH_FIELDS, "truth file")
     d, m, adjs = doc["d"], doc["m"], doc["adjacencies"]
     if len(adjs) != m or not all(_is_adjacency(g, d) for g in adjs):
         raise SchemaError(f"truth file adjacencies must be m={m} {d} x {d} 0/1 matrices")
+    cyclic = _cyclic(adjs)
+    if cyclic.size:
+        raise SchemaError(f"truth file adjacency of state {cyclic[0] + 1} has a directed cycle")
     doc["adjacencies"] = [np.asarray(g, dtype=np.int8) for g in adjs]
     return doc

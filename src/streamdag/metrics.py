@@ -2,8 +2,12 @@
 
 SID follows the intervention-distance definition: pair (i, j) counts as a
 mistake unless the estimate's parent set of i is a valid (backdoor)
-adjustment set for the effect of i on j in the true graph.  d-separation
-is decided by active-trail reachability from i, one pass for every j.
+adjustment set for the effect of i on j in the true graph.  All d sources
+go in one pass of (d, d) row masks: the truth's descendant closure
+(graphs.reachability), and backdoor_connected's frontier loops over the
+ancestors of each parent set and over the active trails from each source,
+in the truth with that source's out-edges cut.  summarize_run rates the
+final estimates of all states in one such pass over (m, d, d) stacks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError
-from .graphs import graph_size
+from .graphs import graph_size, reachability
 
 
 @dataclass
@@ -46,104 +50,100 @@ class RankingReport:
                 "mrr": self.mrr}
 
 
+def _shd(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """SHD of each pair of (..., d, d) boolean graphs."""
+    iu, ju = np.triu_indices(t.shape[-1], k=1)
+    pat_true = t[..., iu, ju] * 2 + t[..., ju, iu]
+    pat_est = e[..., iu, ju] * 2 + e[..., ju, iu]
+    return (pat_true != pat_est).sum(axis=-1)
+
+
 def shd(a_true: np.ndarray, a_est: np.ndarray) -> int:
     """Differing unordered-pair patterns; a reversed edge costs 1."""
-    d = graph_size(a_true, a_est)
-    iu, ju = np.triu_indices(d, k=1)
-    pat_true = np.asarray(a_true)[iu, ju] * 2 + np.asarray(a_true)[ju, iu]
-    pat_est = np.asarray(a_est)[iu, ju] * 2 + np.asarray(a_est)[ju, iu]
-    return int((pat_true != pat_est).sum())
+    graph_size(a_true, a_est)
+    return int(_shd(np.asarray(a_true, dtype=bool), np.asarray(a_est, dtype=bool)))
 
 
-def descendants(adj: np.ndarray, seeds) -> np.ndarray:
-    """Boolean mask of the seeds (a node index or a mask) and every node they reach.
+def backdoor_connected(adj: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mask (x, y): y, outside z[x], has an active trail from x given z[x]
+    in adj with x's out-edges cut, for every source x at once; (k, d, d)
+    stacks of graphs and sets give one mask per graph.
 
-    On adj.T this is the seeds plus their ancestors.
+    Row x of z is source x's conditioning set, which must not hold x.
+    Reachability over (node, direction) states (Koller & Friedman, PGM,
+    Algorithm 3.1), one frontier per row: a trail passes a non-collider
+    outside z[x], and a collider that is in z[x] or has a descendant in it.
+    The cut graph differs from adj only in row x, so node x is masked as a
+    source of row x's children product.  z[x]'s ancestors are taken in adj:
+    one that reaches z[x] only through x's out-edges lies on a chain up
+    from x, whose states already reach all that it opens.
     """
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[seeds] = True
-    frontier = list(np.flatnonzero(seen))
-    while frontier:
-        u = frontier.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                frontier.append(v)
-    return seen
-
-
-def d_connected(adj: np.ndarray, x: int, z: np.ndarray) -> np.ndarray:
-    """Mask of the nodes outside z with an active trail from x given mask z.
-
-    Reachability over (node, direction) pairs (Koller & Friedman, PGM,
-    Algorithm 3.1): a trail passes a non-collider outside z, and a collider
-    that is in z or has a descendant in z.
-    """
-    a = np.asarray(adj, dtype=bool)
+    g = np.asarray(adj, dtype=float)
+    gt = g.swapaxes(-1, -2)
     z = np.asarray(z, dtype=bool)
-    opens = descendants(a.T, z)                # colliders that z activates
-    reach = np.zeros(a.shape[0], dtype=bool)
-    seen = set()
-    frontier = [(x, True)]                     # (node, reached from a child)
-    while frontier:
-        node, up = frontier.pop()
-        if (node, up) in seen:
-            continue
-        seen.add((node, up))
-        if not z[node]:
-            reach[node] = True
-            frontier += [(int(c), False) for c in np.flatnonzero(a[node])]
-        if (up and not z[node]) or (not up and opens[node]):
-            frontier += [(int(p), True) for p in np.flatnonzero(a[:, node])]
-    return reach
+    other = ~np.eye(g.shape[-1], dtype=bool)
+    opens = frontier = z                       # colliders that z[x] activates
+    while frontier.any():
+        frontier = (frontier @ gt > 0) & ~opens
+        opens = opens | frontier
+    down = np.zeros_like(z)                    # (x, node) reached from a parent
+    up = down | ~other                         # (x, node) reached from a child
+    f_up, f_down = up, down
+    while f_up.any() or f_down.any():
+        passes = (f_up | f_down) & ~z & other
+        climbs = (f_up & ~z) | (f_down & opens)
+        f_down = (passes @ g > 0) & ~down
+        f_up = (climbs @ gt > 0) & ~up
+        down, up = down | f_down, up | f_up
+    return (up | down) & ~z
+
+
+def _sid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """SID of each pair of (..., d, d) boolean graphs."""
+    desc = reachability(t)
+    z = e.swapaxes(-1, -2)                     # z[..., i, :]: estimated parents of i
+    adjusts_desc = (z & desc).any(axis=-1, keepdims=True)
+    wrong = np.where(adjusts_desc, ~z | desc, backdoor_connected(t, z))
+    return (wrong & ~np.eye(t.shape[-1], dtype=bool)).sum(axis=(-2, -1))
 
 
 def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
     """Count ordered pairs whose parent-adjustment in the estimate fails in the truth."""
-    d = graph_size(a_true, a_est)
-    g = np.asarray(a_true, dtype=np.int8)
-    h = np.asarray(a_est, dtype=np.int8)
-    mistakes = 0
-    for i in range(d):
-        z = h[:, i].astype(bool)              # estimated parents of i
-        desc = descendants(g, i)
-        if (z & desc).any():
-            wrong = ~z | desc
-        else:
-            cut = g.copy()
-            cut[i, :] = 0
-            wrong = np.where(z, desc, d_connected(cut, i, z))
-        wrong[i] = False
-        mistakes += int(wrong.sum())
-    return mistakes
+    graph_size(a_true, a_est)
+    return int(_sid(np.asarray(a_true, dtype=bool), np.asarray(a_est, dtype=bool)))
 
 
-def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
-    """TPR/FDR/F1/AUROC/SHD/SID of an estimated DAG against the truth.
+def _structure_reports(truths, estimates) -> list[StructureReport]:
+    """StructureReport of each estimate against the truth at its place in
+    the list, all pairs in one pass over (k, d, d) stacks.
 
     AUROC rates the 0/1 estimate over the off-diagonal cells, ties counting
     half: (TPR + TNR) / 2, and 0.5 when the truth has no edge or no non-edge.
     """
-    d = graph_size(a_true, a_est)
-    t = np.asarray(a_true, dtype=bool)
-    e = np.asarray(a_est, dtype=bool)
+    d = graph_size(*truths, *estimates)
+    t = np.asarray(truths, dtype=bool)
+    e = np.asarray(estimates, dtype=bool)
     off = ~np.eye(d, dtype=bool)
-    tp = int((t & e).sum())
-    fp = int((~t & e & off).sum())
-    pos = int(t.sum())
-    pred = tp + fp
-    tpr = tp / pos if pos else 1.0
-    fdr = fp / pred if pred else 0.0
-    precision = tp / pred if pred else (1.0 if pos == 0 else 0.0)
-    recall = tpr
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall > 0 else 0.0)
-    labels, rated = t[off], e[off]
-    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
-    hits = int((labels & rated).sum()) * n_neg + int((~labels & ~rated).sum()) * n_pos
-    roc = hits / (2 * n_pos * n_neg) if n_pos and n_neg else 0.5
-    return StructureReport(tpr=float(tpr), fdr=float(fdr), f1=float(f1),
-                           auroc=roc, shd=shd(a_true, a_est), sid=sid(a_true, a_est))
+    counts = np.stack([t & e, ~t & e & off, t, t & off, ~t & off, t & e & off,
+                       ~t & ~e & off]).sum(axis=(-2, -1)).T.tolist()
+    reports = []
+    for (tp, fp, pos, n_pos, n_neg, hit_pos, hit_neg), shd_k, sid_k in zip(
+            counts, _shd(t, e).tolist(), _sid(t, e).tolist()):
+        pred = tp + fp
+        tpr = tp / pos if pos else 1.0
+        fdr = fp / pred if pred else 0.0
+        precision = tp / pred if pred else (1.0 if pos == 0 else 0.0)
+        f1 = 2 * precision * tpr / (precision + tpr) if precision + tpr > 0 else 0.0
+        hits = hit_pos * n_neg + hit_neg * n_pos
+        roc = hits / (2 * n_pos * n_neg) if n_pos and n_neg else 0.5
+        reports.append(StructureReport(tpr=float(tpr), fdr=float(fdr), f1=float(f1),
+                                       auroc=roc, shd=shd_k, sid=sid_k))
+    return reports
+
+
+def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
+    """TPR/FDR/F1/AUROC/SHD/SID of an estimated DAG against the truth."""
+    return _structure_reports([a_true], [a_est])[0]
 
 
 def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
@@ -193,14 +193,14 @@ def final_records_per_state(results: list[dict]) -> dict[int, dict]:
 def summarize_run(results: list[dict], truth: dict) -> dict:
     """Per-state reports (final estimate vs truth) plus the across-state average."""
     finals = final_records_per_state(results)
-    states = []
-    for t in range(1, int(truth["m"]) + 1):
+    states = range(1, int(truth["m"]) + 1)
+    for t in states:
         if t not in finals:
             raise InsufficientDataError(f"results contain no records for state {t}")
-        report = structure_metrics(truth["adjacencies"][t - 1],
-                                   np.asarray(finals[t]["a_est"], dtype=np.int8))
+    reports = _structure_reports([truth["adjacencies"][t - 1] for t in states],
+                                 [finals[t]["a_est"] for t in states])
+    for t, report in zip(states, reports):
         report.atb_ms = atb([r for r in results if int(r["t"]) == t])
-        states.append(report)
-    rows = [s.as_dict() for s in states]
+    rows = [s.as_dict() for s in reports]
     avg = {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
     return {"states": rows, "average": avg}

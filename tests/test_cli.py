@@ -232,6 +232,8 @@ _BAD_FIELDS = {
     "a_est-cell-2": ("a_est", [[0, 2, 0, 0]] + [[0] * 4] * 3, "a_est must be a square 0/1 matrix"),
     "wall_ms-fast": ("wall_ms", "fast", "wall_ms must be a finite number, got 'fast'"),
     "t-string": ("t", "1", "t must be an integer >= 1, got '1'"),
+    "a_est-2-cycle": ("a_est", [[0, 1, 0, 0], [1, 0, 0, 0]] + [[0] * 4] * 2,
+                      "a_est has a directed cycle"),
 }
 
 
@@ -264,6 +266,20 @@ def test_malformed_truth_field_exits_1(tmp_path, capsys):
     assert main(["eval", "--results", str(tmp_path / "r.jsonl"),
                  "--truth", str(tmp_path / "t.json")]) == 1
     assert "truth file m must be an integer >= 1, got 'x'" in capsys.readouterr().err
+
+
+def test_cyclic_truth_exits_1(tmp_path, capsys):
+    """A 2-cycle planted in state 1 of a d=5 truth: SID is defined on DAGs only."""
+    assert main(_synth_args(tmp_path, d=5)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    doc = json.loads((tmp_path / "t.json").read_text())
+    doc["adjacencies"][0][3][4] = doc["adjacencies"][0][4][3] = 1
+    (tmp_path / "t.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--results", str(tmp_path / "r.jsonl"),
+                 "--truth", str(tmp_path / "t.json")]) == 1
+    assert "truth file adjacency of state 1 has a directed cycle" in capsys.readouterr().err
 
 
 def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):

@@ -102,6 +102,27 @@ def test_is_acyclic_matches_dfs_oracle_on_all_d3_matrices():
         assert is_acyclic(adj) == is_acyclic_dfs(adj)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_is_acyclic_on_a_stack_matches_dfs_oracle(d):
+    """One verdict per graph of a stack, on DAGs with a planted 2-cycle, a
+    planted self-loop, a longer planted cycle, or none."""
+    rng = np.random.default_rng(20 + d)
+    stack = np.stack([random_dag(d, p, rng) for p in rng.random(40)])
+    for g in stack[:10]:
+        g[np.diag_indices(d)] = rng.random(d) < 0.3
+    if d >= 2:
+        for g in stack[10:20]:
+            i, j = rng.choice(d, size=2, replace=False)
+            g[i, j] = g[j, i] = 1
+    for g in stack[20:30]:
+        cycle = rng.permutation(d)[:rng.integers(1, d + 1)]
+        g[cycle, np.roll(cycle, 1)] = 1
+    verdicts = is_acyclic(stack)
+    assert verdicts.shape == (40,)
+    assert verdicts.tolist() == [is_acyclic_dfs(g) for g in stack]
+    assert [bool(is_acyclic(g)) for g in stack] == verdicts.tolist()
+
+
 def test_topological_order_matches_reference():
     rng = np.random.default_rng(3)
     for _ in range(200):

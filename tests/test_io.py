@@ -247,6 +247,9 @@ def test_every_record_field_has_a_check():
     ("a_est", [[0, True], [0, 0]], "a_est must be a square 0/1 matrix"),
     ("a_est", [[0, 1.0], [0, 0]], "a_est must be a square 0/1 matrix"),
     ("a_est", [[0, -1], [0, 0]], "a_est must be a square 0/1 matrix"),
+    ("a_est", [[0, 1], [1, 0]], "a_est has a directed cycle"),
+    ("a_est", [[0, 0], [0, 1]], "a_est has a directed cycle"),
+    ("a_est", [[0, 0, 0]] * 3, "a_est must be 2 x 2 as on line 1"),
     ("best_reward", float("nan"), "best_reward must be a finite number, got nan"),
     ("xi", float("inf"), "xi must be a finite number"),
     ("xi", None, "xi must be a finite number"),
@@ -315,6 +318,10 @@ def test_truth_validation(tmp_path):
     ({"m": 3}, "adjacencies must be m=3 3 x 3 0/1 matrices"),
     ({"d": 4}, "adjacencies must be m=2 4 x 4 0/1 matrices"),
     ({"adjacencies": [[[0, 2, 0], [0, 0, 0], [0, 0, 0]]] * 2}, "0/1 matrices"),
+    ({"adjacencies": [[[0, 0, 0]] * 3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]},
+     "truth file adjacency of state 2 has a directed cycle"),
+    ({"adjacencies": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0]] * 3]},
+     "truth file adjacency of state 1 has a directed cycle"),
 ])
 def test_truth_field_values_are_checked(tmp_path, change, fragment):
     _, truth = generate(SynthConfig(d=3, m=2, n_per_state=20, batch_size=10, seed=2))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from streamdag.errors import DimensionMismatchError, InsufficientDataError
+from streamdag.graphs import reachability
 from streamdag.metrics import (
     atb,
-    d_connected,
-    descendants,
+    backdoor_connected,
     final_records_per_state,
     ranking_metrics,
     shd,
@@ -105,18 +105,23 @@ def test_descendants_matches_oracle():
     for _ in range(30):
         g = _random_dag(6, rng)
         for v in range(6):
-            assert set(np.flatnonzero(descendants(g, v))) == descendants_reference(g, v)
+            assert set(np.flatnonzero(reachability(g)[v])) == descendants_reference(g, v)
 
 
 def test_d_separation_matches_path_oracle():
+    """Row x of backdoor_connected is d-connection from x in g with x's out-edges cut."""
     rng = np.random.default_rng(3)
     for _ in range(60):
         g = _random_dag(5, rng, p=0.45)
-        x, y = rng.choice(5, size=2, replace=False)
-        z_mask = rng.random(5) < 0.4
-        z_mask[x] = z_mask[y] = False
-        z_set = set(int(v) for v in np.flatnonzero(z_mask))
-        assert (not d_connected(g, int(x), z_mask)[y]) == d_separated_paths(g, int(x), int(y), z_set)
+        z = rng.random((5, 5)) < 0.4
+        np.fill_diagonal(z, False)
+        connected = backdoor_connected(g, z)
+        for x in range(5):
+            cut = g.copy()
+            cut[x, :] = 0
+            z_set = set(int(v) for v in np.flatnonzero(z[x]))
+            for y in set(range(5)) - z_set - {x}:
+                assert (not connected[x, y]) == d_separated_paths(cut, x, y, z_set)
 
 
 def test_sid_unit_cases():
@@ -143,6 +148,33 @@ def test_sid_matches_exhaustive_oracle():
         g = _random_dag(4, rng, p=0.5)
         h = _random_dag(4, rng, p=0.5)
         assert sid(g, h) == sid_reference(g, h)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_sid_matches_exhaustive_oracle_on_every_kind_of_estimate(d):
+    """Sparse and dense truths against empty, complete, identical, reversed,
+    sparse and dense estimates."""
+    rng = np.random.default_rng(50 + d)
+    complete = np.triu(np.ones((d, d), dtype=np.int8), k=1)
+    for p in (0.2, 0.7, 0.2, 0.7):
+        g = _random_dag(d, rng, p=p)
+        perm = rng.permutation(d)
+        for h in (np.zeros_like(g), complete[np.ix_(perm, perm)], g, g.T.copy(),
+                  _random_dag(d, rng, p=0.2), _random_dag(d, rng, p=0.7)):
+            assert sid(g, h) == sid_reference(g, h)
+
+
+def test_summarize_run_rates_every_state_as_a_single_pair():
+    """The one stacked pass over all states gives each state's own report."""
+    rng = np.random.default_rng(9)
+    truths = [_random_dag(6, rng, p) for p in (0.2, 0.5, 0.8, 0.5)]
+    estimates = [_random_dag(6, rng, p) for p in (0.5, 0.2, 0.5, 0.8)]
+    results = [{"t": t, "l": 1, "a_est": e.tolist(), "wall_ms": 1.0}
+               for t, e in enumerate(estimates, start=1)]
+    summary = summarize_run(results, {"m": 4, "adjacencies": truths})
+    for row, g, h in zip(summary["states"], truths, estimates, strict=True):
+        assert row == {**structure_metrics(g, h).as_dict(), "atb_ms": 1.0}
+        assert row["sid"] == sid_reference(g, h)
 
 
 def test_ranking_unit_cases():
