@@ -224,7 +224,7 @@ def _format_report_table(summary: dict) -> str:
 
 def _cmd_eval(opts: dict) -> int:
     _require(opts, "results", "truth")
-    results = read_results(opts["results"])
+    results = read_results(opts["results"], acyclic=True)
     truth = read_truth(opts["truth"])
     summary = summarize_run(results, truth)
     print(_format_report_table(summary))
@@ -255,7 +255,7 @@ def _cmd_rca(opts: dict) -> int:
     _require(opts, "results", "stream", "state", "rows")
     row_start, row_stop = _parse_rows(opts["rows"])
     state = opts["state"]
-    final = final_records_per_state(read_results(opts["results"])).get(state)
+    final = final_records_per_state(read_results(opts["results"], acyclic=True)).get(state)
     if final is None:
         raise ConfigError(f"results contain no records for state {state}")
     a_est = np.asarray(final["a_est"], dtype=np.int8)

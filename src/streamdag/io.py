@@ -14,8 +14,8 @@ record_to_dict), flushed per line so downstream consumers can follow a run
 in progress.  Every JSON file goes through one codec: _json parses,
 read_json reads a document, _json_lines and _write_json_lines read and
 write JSON Lines; _object checks a document's keys and their values.  The
-results and truth readers reject a graph with a directed cycle, found by
-_cyclic over all of a file's graphs as one stack.
+truth reader, and the results reader when asked, reject a graph with a
+directed cycle, found by _cyclic over all of a file's graphs as one stack.
 """
 
 from __future__ import annotations
@@ -290,9 +290,14 @@ def _cyclic(adjs) -> np.ndarray:
     return np.flatnonzero(~is_acyclic(stack))
 
 
-def read_results(path) -> list[dict]:
+def read_results(path, *, acyclic: bool = False) -> list[dict]:
     """Parse a results file back into dicts (adjacencies as nested lists),
-    each line checked field by field, and every a_est acyclic and of one size."""
+    each line checked field by field and every a_est of one size.
+
+    With acyclic=True every a_est must also be a DAG, as eval and rca need
+    (SID and the root-cause walk take DAGs).  By default a cyclic estimate
+    reads back as written, so that a caller can count it as a bad record.
+    """
     records, lines = [], []
     for obj, n in _json_lines(path):
         records.append(_object(obj, _RECORD_FIELDS, "result record", n))
@@ -302,7 +307,7 @@ def read_results(path) -> list[dict]:
         if len(adj) != len(adjs[0]):
             d = len(adjs[0])
             raise SchemaError(f"result record a_est must be {d} x {d} as on line {lines[0]}", n)
-    if adjs and (cyclic := _cyclic(adjs)).size:
+    if acyclic and adjs and (cyclic := _cyclic(adjs)).size:
         raise SchemaError("result record a_est has a directed cycle", lines[cyclic[0]])
     return records
 

@@ -247,8 +247,6 @@ def test_every_record_field_has_a_check():
     ("a_est", [[0, True], [0, 0]], "a_est must be a square 0/1 matrix"),
     ("a_est", [[0, 1.0], [0, 0]], "a_est must be a square 0/1 matrix"),
     ("a_est", [[0, -1], [0, 0]], "a_est must be a square 0/1 matrix"),
-    ("a_est", [[0, 1], [1, 0]], "a_est has a directed cycle"),
-    ("a_est", [[0, 0], [0, 1]], "a_est has a directed cycle"),
     ("a_est", [[0, 0, 0]] * 3, "a_est must be 2 x 2 as on line 1"),
     ("best_reward", float("nan"), "best_reward must be a finite number, got nan"),
     ("xi", float("inf"), "xi must be a finite number"),
@@ -263,6 +261,16 @@ def test_results_field_values_are_checked(field, value, fragment):
         read_results(io.StringIO(text))
     # an integer is a number
     assert read_results(io.StringIO(json.dumps({**good, "best_reward": 3})))[0]["best_reward"] == 3
+
+
+@pytest.mark.parametrize("a_est", [[[0, 1], [1, 0]], [[0, 0], [0, 1]]], ids=["2-cycle", "self-loop"])
+def test_cyclic_estimate_is_rejected_only_when_asked(a_est):
+    good = record_to_dict(_record(1, 1))
+    text = json.dumps(good) + "\n" + json.dumps({**good, "l": 2, "a_est": a_est}) + "\n"
+    with pytest.raises(SchemaError, match="line 2: result record a_est has a directed cycle"):
+        read_results(io.StringIO(text), acyclic=True)
+    assert read_results(io.StringIO(text))[1]["a_est"] == a_est
+    assert len(read_results(io.StringIO(json.dumps(good)), acyclic=True)) == 1
 
 
 class _FlushCounter(io.StringIO):
