@@ -87,8 +87,8 @@ class OnlineConfig:
             raise ConfigError(f"xi_threshold must be in [0, 1], got {self.xi_threshold}")
         if self.episodes_per_batch < 1:
             raise ConfigError("episodes_per_batch must be positive")
-        if not self.lr > 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 

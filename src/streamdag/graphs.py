@@ -147,8 +147,3 @@ def random_dag(d: int, edge_prob: float, rng: np.random.Generator) -> np.ndarray
     upper = np.triu(rng.random((d, d)) < edge_prob, k=1).astype(np.int8)
     perm = rng.permutation(d)
     return upper[np.ix_(perm, perm)]
-
-
-def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
-    """Row-major nested lists of 0/1 ints, the JSON wire form."""
-    return np.asarray(adj).astype(int).tolist()

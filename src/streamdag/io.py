@@ -4,18 +4,23 @@ Streams are JSON Lines, one batch per line:
 
     {"t": 1, "l": 1, "transition": true, "x": [[...], ...]}
 
-or alternatively a plain CSV of rows plus a sidecar JSON file mapping row
-ranges to (t, l), checked as strictly as JSONL.  Both readers yield each
-batch with its place in the file, and one check (_in_order) rejects, in
-either format, a column count that drifts or a (t, l) that does not
-increase.  Results are JSON Lines of per-batch estimates (EpisodeRecord,
-declared here beside the check of each of its fields, _RECORD_FIELDS, and
-record_to_dict), flushed per line so downstream consumers can follow a run
-in progress.  Every JSON file goes through one codec: _json parses,
-read_json reads a document, _json_lines and _write_json_lines read and
-write JSON Lines; _object checks a document's keys and their values.  The
-truth reader, and the results reader when asked, reject a graph with a
-directed cycle, found by _cyclic over all of a file's graphs as one stack.
+or alternatively a plain CSV of rows plus a sidecar JSON list of entries,
+each giving a batch's (t, l, transition) and its CSV rows [start, stop),
+checked as strictly as JSONL.  Both readers yield each batch with its place
+in the file, and one check (_in_order) rejects, in either format, a column
+count that drifts or a (t, l) that does not increase.  Results are JSON
+Lines of per-batch estimates (EpisodeRecord), flushed per line so
+downstream consumers can follow a run in progress.
+
+Each document's fields are declared once, in one table per document
+(_ENTRY_FIELDS, _SIDECAR_FIELDS, _RECORD_FIELDS, _TRUTH_FIELDS) of field
+kinds: a kind holds its test, the text naming what it wants, and its JSON
+form.  _object checks a document read against its table, and _json_form
+builds a stream entry or a results record from it.  Every JSON file goes
+through one codec: _json parses, read_json reads a document, _json_lines
+and _write_json_lines read and write JSON Lines.  The truth reader, and
+the results reader when asked, reject a graph with a directed cycle, found
+by _cyclic over all of a file's graphs as one stack.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .graphs import is_acyclic, matrix_to_lists
+from .graphs import is_acyclic
 
 
 @dataclass
@@ -81,31 +86,46 @@ def _is_adjacency(v, d: int | None = None) -> bool:
     return set(map(type, cells)) == {int} and set(cells) <= {0, 1}
 
 
-# Field checks: (test, what it wants) per key; None leaves a value to its reader.
-_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
+    """Row-major nested lists of 0/1 ints, the JSON form of an adjacency."""
+    return np.asarray(adj).astype(int).tolist()
+
+
+# Field kinds: (test, what it wants, JSON form) per key; None leaves a value to its reader.
+_INDEX = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+          "an integer >= 0", int)
+_COUNT = (lambda v: _INDEX[0](v) and v >= 1, "an integer >= 1", int)
 _NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-           "a finite number")
-_BOOL = (lambda v: isinstance(v, bool), "a boolean")
-# A batch's place in the stream, on a JSONL line or a CSV sidecar entry.
+           "a finite number", float)
+_BOOL = (lambda v: isinstance(v, bool), "a boolean", bool)
+_ADJACENCY = (_is_adjacency, "a square 0/1 matrix", matrix_to_lists)
+# A batch's place in the stream: the StreamBatch fields on a JSONL line or a
+# CSV sidecar entry, where start and stop bound the batch's CSV rows.
 _ENTRY_FIELDS = {"t": _COUNT, "l": _COUNT, "transition": _BOOL}
-# The JSON value of each EpisodeRecord field on a results line.
-_RECORD_FIELDS = {"t": _COUNT, "l": _COUNT, "a_est": (_is_adjacency, "a square 0/1 matrix"),
-                  "best_reward": _NUMBER, "xi": _NUMBER, "wall_ms": _NUMBER, "converged": _BOOL}
+_SIDECAR_FIELDS = {**_ENTRY_FIELDS, "start": _INDEX, "stop": _INDEX}
+# Each EpisodeRecord field on a results line.
+_RECORD_FIELDS = {"t": _COUNT, "l": _COUNT, "a_est": _ADJACENCY, "best_reward": _NUMBER,
+                  "xi": _NUMBER, "wall_ms": _NUMBER, "converged": _BOOL}
 _TRUTH_FIELDS = {"d": _COUNT, "m": _COUNT, "mechanism": None,
-                 "adjacencies": (lambda v: isinstance(v, list), "a list")}
+                 "adjacencies": (lambda v: isinstance(v, list), "a list", list)}
 
 
-def _object(obj, checks: dict, what: str, where: int | str | None = None) -> dict:
-    """obj, checked to be a JSON object that holds every key in `checks`,
-    each value passing its check."""
+def _json_form(obj, kinds: dict) -> dict:
+    """Each attribute of obj that `kinds` names, in its kind's JSON form."""
+    return {key: kind[2](getattr(obj, key)) for key, kind in kinds.items()}
+
+
+def _object(obj, kinds: dict, what: str, where: int | str | None = None) -> dict:
+    """obj, checked to be a JSON object that holds every key in `kinds`,
+    each value passing its kind's test."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object", where)
-    missing = checks.keys() - obj.keys()
+    missing = kinds.keys() - obj.keys()
     if missing:
         raise SchemaError(f"{what} missing keys {sorted(missing)}", where)
-    for key, check in checks.items():
-        if check is not None and not check[0](obj[key]):
-            raise SchemaError(f"{what} {key} must be {check[1]}, got {reprlib.repr(obj[key])}",
+    for key, kind in kinds.items():
+        if kind is not None and not kind[0](obj[key]):
+            raise SchemaError(f"{what} {key} must be {kind[1]}, got {reprlib.repr(obj[key])}",
                               where)
     return obj
 
@@ -124,7 +144,7 @@ def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
         raise SchemaError("x entries must be numbers", line_no) from None
     if not np.isfinite(mat).all():
         raise SchemaError("x entries must be finite", line_no)
-    return StreamBatch(t=obj["t"], l=obj["l"], transition=obj["transition"], x=mat)
+    return StreamBatch(**{key: obj[key] for key in _ENTRY_FIELDS}, x=mat)
 
 
 @contextmanager
@@ -191,15 +211,13 @@ def _iter_csv(path: Path, sidecar: Path):
         raise SchemaError(f"CSV rows must be rectangular: {exc}") from None
     for entry_no, entry in enumerate(meta, start=1):
         where = f"sidecar entry {entry_no}"
-        _object(entry, {**_ENTRY_FIELDS, "start": None, "stop": None}, "batch", where)
+        _object(entry, _SIDECAR_FIELDS, "batch", where)
         start, stop = entry["start"], entry["stop"]
-        if not (isinstance(start, int) and isinstance(stop, int)
-                and 0 <= start < stop <= rows.shape[0]):
+        if not start < stop <= rows.shape[0]:
             raise SchemaError(f"invalid row range [{start}, {stop})", where)
         if not np.isfinite(rows[start:stop]).all():
             raise SchemaError(f"cells in rows [{start}, {stop}) must be finite numbers", where)
-        yield StreamBatch(t=entry["t"], l=entry["l"], transition=entry["transition"],
-                          x=rows[start:stop]), where
+        yield StreamBatch(**{key: entry[key] for key in _ENTRY_FIELDS}, x=rows[start:stop]), where
 
 
 def _in_order(located):
@@ -230,12 +248,9 @@ def read_stream(source, sidecar=None):
 
 def write_stream(batches, path) -> int:
     """Write batches as JSON Lines; returns the number written."""
-    return _write_json_lines(({
-        "t": int(batch.t),
-        "l": int(batch.l),
-        "transition": bool(batch.transition),
-        "x": np.asarray(batch.x, dtype=float).tolist(),
-    } for batch in batches), path)
+    return _write_json_lines(({**_json_form(batch, _ENTRY_FIELDS),
+                               "x": np.asarray(batch.x, dtype=float).tolist()}
+                              for batch in batches), path)
 
 
 def write_csv_stream(batches, path) -> int:
@@ -243,43 +258,27 @@ def write_csv_stream(batches, path) -> int:
     with suffix .meta.json, where read_stream looks by default."""
     path = Path(path)
     meta = []
-    row = 0
-    count = 0
     with path.open("w") as fh:
         for batch in batches:
             x = np.asarray(batch.x)
             for r in x:
                 fh.write(",".join(repr(float(v)) for v in r))
                 fh.write("\n")
-            meta.append({"t": int(batch.t), "l": int(batch.l),
-                         "transition": bool(batch.transition),
-                         "start": row, "stop": row + x.shape[0]})
-            row += x.shape[0]
-            count += 1
+            start = meta[-1]["stop"] if meta else 0
+            meta.append({**_json_form(batch, _ENTRY_FIELDS), "start": start,
+                         "stop": start + x.shape[0]})
     path.with_suffix(".meta.json").write_text(json.dumps(meta, sort_keys=True))
-    return count
+    return len(meta)
 
 
 def record_to_dict(record: EpisodeRecord) -> dict:
     """JSON-ready form of one per-batch estimate record."""
-    return {
-        "t": int(record.t),
-        "l": int(record.l),
-        "a_est": matrix_to_lists(record.a_est),
-        "best_reward": float(record.best_reward),
-        "xi": float(record.xi),
-        "wall_ms": float(record.wall_ms),
-        "converged": bool(record.converged),
-    }
+    return _json_form(record, _RECORD_FIELDS)
 
 
 def write_results(records, path) -> int:
-    """One JSON line per record, flushed per line; returns the count.
-
-    Accepts per-batch record objects or dicts already in JSON-ready form.
-    """
-    return _write_json_lines((r if isinstance(r, dict) else record_to_dict(r)
-                              for r in records), path)
+    """One JSON line per EpisodeRecord, flushed per line; returns the count."""
+    return _write_json_lines(map(record_to_dict, records), path)
 
 
 def _cyclic(adjs) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientDataError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from .graphs import graph_size, reachability
 
 
@@ -147,7 +147,9 @@ def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
 
 
 def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
-    """PR@K, AP@K, and MRR of a root-cause ranking."""
+    """PR@K, AP@K, and MRR of a root-cause ranking, for each K >= 1 in k_values."""
+    if any(k < 1 for k in k_values):
+        raise ConfigError(f"K values must be >= 1, got {list(k_values)}")
     ranks = list(rank_list)
     if sorted(ranks) != list(range(len(ranks))):
         raise DimensionMismatchError("rank list must be a permutation of node indices")
@@ -156,7 +158,7 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
         raise InsufficientDataError("true root set is empty")
     if not roots <= set(ranks):
         raise DimensionMismatchError("true roots must appear in the rank list")
-    max_k = max(k_values) if k_values else 0
+    max_k = max(k_values, default=0)
     pr_curve = []
     hits = 0
     for k in range(1, min(max_k, len(ranks)) + 1):
@@ -167,8 +169,8 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
     ap_at = {}
     for k in k_values:
         kk = min(k, len(pr_curve))
-        pr_at[k] = pr_curve[kk - 1] if kk else 0.0
-        ap_at[k] = float(np.mean(pr_curve[:kk])) if kk else 0.0
+        pr_at[k] = pr_curve[kk - 1]
+        ap_at[k] = float(np.mean(pr_curve[:kk]))
     position = {node: idx + 1 for idx, node in enumerate(ranks)}
     mrr = float(np.mean([1.0 / position[r] for r in roots]))
     return RankingReport(pr_at=pr_at, ap_at=ap_at, mrr=mrr)

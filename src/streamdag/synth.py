@@ -38,16 +38,16 @@ class SynthConfig:
             raise ConfigError(f"need at least 2 nodes, got d={self.d}")
         if self.m < 2:
             raise ConfigError(f"need at least 2 states, got m={self.m}")
-        if self.e < 0:
-            raise ConfigError(f"noise rate must be >= 0, got {self.e}")
+        if not 0 <= self.e < np.inf:
+            raise ConfigError(f"noise rate must be finite and >= 0, got {self.e}")
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
         if self.er_expected_degree <= 0:
             raise ConfigError("er_expected_degree must be positive")
         if not 1 <= self.batch_size <= self.n_per_state:
             raise ConfigError("need 1 <= batch_size <= n_per_state")
-        if self.noise_scale <= 0:
-            raise ConfigError("noise_scale must be positive")
+        if not 0 < self.noise_scale < np.inf:
+            raise ConfigError(f"noise_scale must be finite and positive, got {self.noise_scale}")
 
 
 @dataclass

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from streamdag.cli import main
-from streamdag.io import StreamBatch, read_results, read_truth, write_results, write_stream
+from streamdag.io import (
+    EpisodeRecord,
+    StreamBatch,
+    read_results,
+    read_truth,
+    write_results,
+    write_stream,
+)
 from streamdag.synth import SynthConfig, generate
 
 
@@ -121,10 +128,8 @@ def test_eval_auroc_rates_the_emitted_estimate(tmp_path, capsys):
 def test_eval_perfect_results_shows_zero_shd(tmp_path, capsys):
     assert main(_synth_args(tmp_path)) == 0
     truth = read_truth(tmp_path / "t.json")
-    rows = []
-    for t in (1, 2):
-        rows.append({"t": t, "l": 2, "a_est": truth["adjacencies"][t - 1].tolist(),
-                     "best_reward": 0.0, "xi": 1.0, "wall_ms": 1.0, "converged": True})
+    rows = [EpisodeRecord(t=t, l=2, a_est=truth["adjacencies"][t - 1], best_reward=0.0,
+                          xi=1.0, wall_ms=1.0, converged=True) for t in (1, 2)]
     write_results(rows, tmp_path / "perfect.jsonl")
     assert main(["eval", "--results", str(tmp_path / "perfect.jsonl"),
                  "--truth", str(tmp_path / "t.json")]) == 0
@@ -207,6 +212,22 @@ def test_invalid_engine_config_exits_1(tmp_path, capsys):
     assert main(["run", "--stream", str(tmp_path / "s.jsonl"),
                  "--mode", "marlin", "--workers", "3"]) == 1
     assert "single worker" in capsys.readouterr().err
+    # a non-finite rate is rejected before any record is written
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--lr=inf",
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: lr must be finite and positive, got inf\n"
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag,fragment", [
+    ("--e=inf", "noise rate must be finite"),
+    ("--e=nan", "noise rate must be finite"),
+    ("--noise-scale=inf", "noise_scale must be finite"),
+])
+def test_non_finite_synth_setting_exits_1(tmp_path, capsys, flag, fragment):
+    assert main([*_synth_args(tmp_path), flag]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_malformed_results_truth_or_config_exits_1(tmp_path, capsys):
@@ -362,6 +383,12 @@ def test_rca_subcommand_end_to_end(tmp_path, capsys):
     assert sorted(node for node, _ in doc["ranking"]) == [0, 1, 2, 3]
     assert set(doc["metrics"]) == {"pr_at", "ap_at", "mrr"}
     assert json.loads((tmp_path / "rca.json").read_text()) == doc
+    for k in ("0", "-1", "1,0,3"):
+        assert main(["rca", "--results", str(tmp_path / "r.jsonl"),
+                     "--stream", str(tmp_path / "s.jsonl"), "--state", "2",
+                     "--rows", "40:80", "--roots", "0", f"--k={k}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: K values must be >= 1" in captured.err
 
 
 def test_rca_requires_window_flags(capsys):

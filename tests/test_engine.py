@@ -76,6 +76,9 @@ def test_config_validation():
         OnlineConfig(episodes_per_batch=0)
     with pytest.raises(ConfigError):
         OnlineConfig(lr=0.0)
+    for lr in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            OnlineConfig(lr=lr)
     with pytest.raises(ConfigError):
         OnlineConfig(gamma=1.5)
     OnlineConfig(mode="marlin-m", workers=1)    # single worker is allowed

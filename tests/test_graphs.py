@@ -13,7 +13,6 @@ from streamdag.graphs import (
     complement,
     dag_decompose,
     is_acyclic,
-    matrix_to_lists,
     nodes_from_action_dim,
     random_dag,
     split_action,
@@ -197,10 +196,3 @@ def test_d3_has_25_dags_and_mapping_reaches_each():
         if hit == keys:
             break
     assert hit == keys
-
-
-def test_matrix_to_lists_gives_python_ints():
-    want = [[0, 1], [0, 0]]
-    for adj in (np.array(want, dtype=bool), np.array(want, dtype=np.int8), np.array(want, float)):
-        out = matrix_to_lists(adj)
-        assert out == want and {type(v) for row in out for v in row} == {int}

@@ -16,6 +16,7 @@ from streamdag.io import (
     read_results,
     read_stream,
     read_truth,
+    matrix_to_lists,
     record_to_dict,
     write_csv_stream,
     write_results,
@@ -107,6 +108,7 @@ _GOOD_ENTRY = {"t": 1, "l": 1, "transition": False, "start": 0, "stop": 2}
     ("5.0", {"transition": 1}, "transition must be"),
     ("5.0", None, "must be a JSON object"),
     ("5.0", {"t": True}, "t must be"),
+    ("5.0", {"start": False, "stop": True}, "start must be"),
 ])
 def test_csv_entries_get_the_jsonl_checks(tmp_path, cell, entry, fragment):
     """Entry 2 of the sidecar (rows 2-3) is bad; the error names it."""
@@ -199,7 +201,7 @@ def _record(t, l):
                          converged=False)
 
 
-def test_results_roundtrip_and_flush(tmp_path):
+def test_results_roundtrip_and_flush():
     class FlushCounter(io.StringIO):
         flushes = 0
 
@@ -216,11 +218,13 @@ def test_results_roundtrip_and_flush(tmp_path):
     assert [r["l"] for r in rows] == [1, 2]
     assert rows[0] == {"t": 1, "l": 1, "a_est": [[0, 1], [0, 0]], "best_reward": -3.5,
                        "xi": 0.25, "wall_ms": 1.5, "converged": False}
-    # dict input writes the same bytes as record input
-    path1, path2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_results([_record(1, 1)], path1)
-    write_results([record_to_dict(_record(1, 1))], path2)
-    assert path1.read_bytes() == path2.read_bytes()
+
+
+def test_matrix_to_lists_gives_python_ints():
+    want = [[0, 1], [0, 0]]
+    for adj in (np.array(want, dtype=bool), np.array(want, dtype=np.int8), np.array(want, float)):
+        out = matrix_to_lists(adj)
+        assert out == want and {type(v) for row in out for v in row} == {int}
 
 
 def test_results_validation():
@@ -294,6 +298,17 @@ def test_json_lines_bytes_and_one_flush_per_line():
     line = ('{"a_est": [[0, 1], [0, 0]], "best_reward": -3.5, "converged": false, '
             '"l": 1, "t": 1, "wall_ms": 1.5, "xi": 0.25}\n')
     assert buf.getvalue() == line * 3 and buf.flushes == 3
+
+
+def test_csv_stream_bytes(tmp_path):
+    x = np.array([[1.5, -2.0], [0.1, 3.0]])
+    batches = [StreamBatch(t=1, l=2, transition=True, x=x),
+               StreamBatch(t=np.int64(2), l=np.int64(1), transition=np.bool_(False), x=x[:1])]
+    assert write_csv_stream(batches, tmp_path / "s.csv") == 2
+    assert (tmp_path / "s.csv").read_text() == "1.5,-2.0\n0.1,3.0\n1.5,-2.0\n"
+    assert (tmp_path / "s.meta.json").read_text() == (
+        '[{"l": 2, "start": 0, "stop": 2, "t": 1, "transition": true}, '
+        '{"l": 1, "start": 2, "stop": 3, "t": 2, "transition": false}]')
 
 
 def test_truth_roundtrip(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamdag.errors import DimensionMismatchError, InsufficientDataError
+from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.graphs import reachability
 from streamdag.metrics import (
     atb,
@@ -209,6 +209,9 @@ def test_ranking_validation():
         ranking_metrics([0, 1], [], [1])
     with pytest.raises(DimensionMismatchError):
         ranking_metrics([0, 1], [7], [1])
+    for k_values in ([0], [-1], [1, 0, 3]):
+        with pytest.raises(ConfigError, match="K values must be >= 1"):
+            ranking_metrics([0, 1, 2], [0], k_values)
 
 
 def test_atb_and_final_records():

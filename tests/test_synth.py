@@ -36,6 +36,11 @@ def test_config_validation():
         SynthConfig(d=4, n_per_state=10, batch_size=11)
     with pytest.raises(ConfigError):
         SynthConfig(d=4, noise_scale=0.0)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="noise rate must be finite"):
+            SynthConfig(d=4, e=value)
+        with pytest.raises(ConfigError, match="noise_scale must be finite"):
+            SynthConfig(d=4, noise_scale=value)
 
 
 def test_states_form_subset_chain_without_noise():
