@@ -148,8 +148,8 @@ def structure_metrics(a_true: np.ndarray, a_est: np.ndarray) -> StructureReport:
 
 def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
     """PR@K, AP@K, and MRR of a root-cause ranking, for each K >= 1 in k_values."""
-    if any(k < 1 for k in k_values):
-        raise ConfigError(f"K values must be >= 1, got {list(k_values)}")
+    if not k_values or min(k_values) < 1:
+        raise ConfigError(f"need one or more K values, each >= 1, got {list(k_values)}")
     ranks = list(rank_list)
     if sorted(ranks) != list(range(len(ranks))):
         raise DimensionMismatchError("rank list must be a permutation of node indices")
@@ -158,7 +158,7 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
         raise InsufficientDataError("true root set is empty")
     if not roots <= set(ranks):
         raise DimensionMismatchError("true roots must appear in the rank list")
-    max_k = max(k_values, default=0)
+    max_k = max(k_values)
     pr_curve = []
     hits = 0
     for k in range(1, min(max_k, len(ranks)) + 1):

@@ -42,7 +42,7 @@ class SynthConfig:
             raise ConfigError(f"noise rate must be finite and >= 0, got {self.e}")
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
-        if self.er_expected_degree <= 0:
+        if not self.er_expected_degree > 0:     # inf asks for the complete DAG
             raise ConfigError("er_expected_degree must be positive")
         if not 1 <= self.batch_size <= self.n_per_state:
             raise ConfigError("need 1 <= batch_size <= n_per_state")

@@ -11,12 +11,13 @@ import pytest
 from streamdag.engine import EpisodeRecord
 from streamdag.errors import SchemaError
 from streamdag.io import (
+    _ENTRY_FIELDS,
     _RECORD_FIELDS,
     StreamBatch,
+    matrix_to_lists,
     read_results,
     read_stream,
     read_truth,
-    matrix_to_lists,
     record_to_dict,
     write_csv_stream,
     write_results,
@@ -240,6 +241,7 @@ def test_results_validation():
 
 def test_every_record_field_has_a_check():
     assert list(_RECORD_FIELDS) == [f.name for f in fields(EpisodeRecord)]
+    assert [*_ENTRY_FIELDS, "x"] == [f.name for f in fields(StreamBatch)]
 
 
 @pytest.mark.parametrize("field,value,fragment", [

@@ -209,8 +209,8 @@ def test_ranking_validation():
         ranking_metrics([0, 1], [], [1])
     with pytest.raises(DimensionMismatchError):
         ranking_metrics([0, 1], [7], [1])
-    for k_values in ([0], [-1], [1, 0, 3]):
-        with pytest.raises(ConfigError, match="K values must be >= 1"):
+    for k_values in ([0], [-1], [1, 0, 3], []):
+        with pytest.raises(ConfigError, match="need one or more K values, each >= 1"):
             ranking_metrics([0, 1, 2], [0], k_values)
 
 

@@ -36,6 +36,8 @@ def test_config_validation():
         SynthConfig(d=4, n_per_state=10, batch_size=11)
     with pytest.raises(ConfigError):
         SynthConfig(d=4, noise_scale=0.0)
+    with pytest.raises(ConfigError, match="er_expected_degree must be positive"):
+        SynthConfig(d=4, er_expected_degree=float("nan"))
     for value in (float("inf"), float("nan")):
         with pytest.raises(ConfigError, match="noise rate must be finite"):
             SynthConfig(d=4, e=value)
