@@ -22,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import MODES, OnlineConfig, OnlineEngine
-from .errors import (
-    ConfigError,
-    DataRangeError,
-    DimensionMismatchError,
-    InsufficientDataError,
-    InvalidActionError,
-    SchemaError,
-    StreamDagError,
-)
+from .errors import ConfigError, SchemaError, StreamDagError
 from .io import (
     read_json,
     read_results,
@@ -295,16 +287,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](opts)
     except SystemExit as exc:         # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code == 2 else int(exc.code or 0)
-    except (ConfigError, SchemaError, DimensionMismatchError, InvalidActionError,
-            DataRangeError, InsufficientDataError) as exc:
+    except StreamDagError as exc:     # every one is invalid input or configuration
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
-    except (StreamDagError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # surface unexpected failures as runtime errors
+    except Exception as exc:          # OSError or an unexpected failure: a runtime one
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

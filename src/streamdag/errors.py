@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every StreamDagError means invalid input or configuration, and the CLI exits 1
+on any of them; an OSError or any other exception is a runtime failure (exit 2).
+"""
 
 
 class StreamDagError(Exception):

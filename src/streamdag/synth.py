@@ -5,6 +5,13 @@ backward by cumulative random edge deletions, and every non-final state
 additionally receives a few acyclicity-preserving noise edges.  Edge
 weights are drawn once over the union of all per-state edges, so shared
 edges keep identical mechanisms across states.
+
+Each state's rows follow the SEM X_j = f_j(X_pa(j)) + s_j * N_j, node by
+node in topological order.  f_j is the parents' linear term sum_i w_ij X_i;
+under QR it adds sum_i q_ij X_i^2 + sum_{i<k} p_ikj X_i X_k, and under GP
+it is instead one draw of a zero-mean GP with an RBF kernel over the
+parents.  N_j is Exp(1) under LE and N(0, 1) otherwise; s_j is the node's
+noise scale.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CyclicGraphError, GenerationError
+from .errors import ConfigError, GenerationError
 from .graphs import is_acyclic, random_dag, topological_order
 from .io import StreamBatch
 
@@ -72,19 +79,20 @@ class GroundTruth:
         return self.params.lin * self.adjacencies[t - 1]
 
 
-def _inject_noise_edges(adj: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Add `count` random edges that keep the graph acyclic; retry, then fail."""
-    out = adj.copy()
+def _inject_noise_edges(adj: np.ndarray, count: int, rng: np.random.Generator,
+                        t: int) -> np.ndarray:
+    """Add `count` random edges that keep state t's graph acyclic.  A d-node DAG
+    holds at most d(d-1)/2 edges and one with fewer can take one more, so a count
+    beyond that room fails before any draw, and within it every draw has at
+    least a 1/d^2 chance of a fit."""
     d = adj.shape[0]
+    room = d * (d - 1) // 2 - int(adj.sum())
+    if count > room:
+        raise GenerationError(f"state {t} has room for {room} more acyclic edges, "
+                              f"not the {count} noise edges asked for")
+    out = adj.copy()
     added = 0
-    attempts = 0
-    limit = 200 * d * d
     while added < count:
-        if attempts >= limit:
-            raise GenerationError(
-                f"could not place {count} acyclic noise edges after {limit} attempts"
-            )
-        attempts += 1
         i = int(rng.integers(d))
         j = int(rng.integers(d))
         if i == j or out[i, j]:
@@ -114,17 +122,14 @@ def make_state_graphs(cfg: SynthConfig, rng: np.random.Generator) -> list[np.nda
         drop = min(int(per_step), len(edges))
         cur = cur.copy()
         if drop > 0:
-            picks = rng.choice(len(edges), size=drop, replace=False)
-            for idx in picks:
-                i, j = edges[idx]
-                cur[i, j] = 0
+            cur[tuple(edges[rng.choice(len(edges), size=drop, replace=False)].T)] = 0
         graphs.append(cur)
     graphs.reverse()                          # now G_1 .. G_m, edge counts ascending
     for t in range(cfg.m - 1):                # non-final states get noise edges
         base_edges = int(graphs[t].sum())
         extra = int(np.ceil(cfg.e / 100.0 * base_edges))
         if extra > 0:
-            graphs[t] = _inject_noise_edges(graphs[t], extra, rng)
+            graphs[t] = _inject_noise_edges(graphs[t], extra, rng, t + 1)
     return graphs
 
 
@@ -152,41 +157,27 @@ def sem_sample(adj: np.ndarray, params: MechanismParams, mechanism: str,
     """Draw n rows from the SEM X_j = f_j(parents) + noise, in topological order."""
     if mechanism not in MECHANISMS:
         raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    if not is_acyclic(adj):
-        raise CyclicGraphError("sem_sample requires an acyclic graph")
     d = adj.shape[0]
     scale = params.noise_scale if noise_scale is None else np.asarray(noise_scale, dtype=float)
     if scale is None:
         scale = np.ones(d)
     x = np.zeros((n, d))
-    order = topological_order(adj)
-    for j in order:
+    for j in topological_order(adj):
         parents = np.flatnonzero(adj[:, j])
-        if mechanism in ("LG", "LE"):
-            mean = x[:, parents] @ params.lin[parents, j] if parents.size else 0.0
-            if mechanism == "LG":
-                noise = rng.standard_normal(n) * scale[j]
-            else:
-                noise = rng.exponential(1.0, size=n) * scale[j]
-            x[:, j] = mean + noise
-        elif mechanism == "QR":
-            val = np.zeros(n)
-            if parents.size:
-                val += x[:, parents] @ params.lin[parents, j]
-                val += (x[:, parents] ** 2) @ params.square[parents, j]
-                for a, b in itertools.combinations(sorted(parents.tolist()), 2):
-                    val += params.pair[(a, b)][j] * x[:, a] * x[:, b]
-            x[:, j] = val + rng.standard_normal(n) * scale[j]
-        else:  # GP
-            if parents.size:
-                pts = x[:, parents]
-                sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-                kernel = np.exp(-0.5 * sq) + 1e-6 * np.eye(n)
-                chol = np.linalg.cholesky(kernel)
-                f = chol @ rng.standard_normal(n)
-            else:
-                f = np.zeros(n)
-            x[:, j] = f + rng.standard_normal(n) * scale[j]
+        pts = x[:, parents]
+        if mechanism != "GP":
+            f = pts @ params.lin[parents, j]
+        elif parents.size:
+            sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+            f = np.linalg.cholesky(np.exp(-0.5 * sq) + 1e-6 * np.eye(n)) @ rng.standard_normal(n)
+        else:
+            f = np.zeros(n)
+        if mechanism == "QR":
+            f += (pts ** 2) @ params.square[parents, j]
+            for a, b in itertools.combinations(parents.tolist(), 2):
+                f += params.pair[(a, b)][j] * x[:, a] * x[:, b]
+        noise = rng.exponential(1.0, size=n) if mechanism == "LE" else rng.standard_normal(n)
+        x[:, j] = f + noise * scale[j]
     return x
 
 

@@ -230,6 +230,14 @@ def test_non_finite_synth_setting_exits_1(tmp_path, capsys, flag, fragment):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+def test_noise_edges_without_room_exit_1(tmp_path, capsys):
+    """At d=2 state 1 already holds the one edge a 2-node DAG allows."""
+    assert main(_synth_args(tmp_path, d=2, e=1.0)) == 1
+    assert capsys.readouterr().err == ("error: state 1 has room for 0 more acyclic edges, "
+                                       "not the 1 noise edges asked for\n")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def test_malformed_results_truth_or_config_exits_1(tmp_path, capsys):
     assert main(_synth_args(tmp_path)) == 0
     assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
@@ -246,6 +254,18 @@ def test_malformed_results_truth_or_config_exits_1(tmp_path, capsys):
     cfg.write_text("{bad")
     assert main(["eval", *results, *truth, "--config", str(cfg)]) == 1
     assert "config file: invalid JSON" in capsys.readouterr().err
+    cfg.write_text("[1]")
+    assert main(["eval", *results, *truth, "--config", str(cfg)]) == 1
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["run", "--stream", str(empty)]) == 1
+    assert "stream is empty" in capsys.readouterr().err
+    rca = ["rca", *results, "--stream", str(tmp_path / "s.jsonl"), "--rows", "30:60"]
+    assert main([*rca, "--state", "2", "--roots", "x"]) == 1
+    assert "--roots expects comma-separated integers, got 'x'" in capsys.readouterr().err
+    assert main([*rca, "--state", "5"]) == 1
+    assert "results contain no records for state 5" in capsys.readouterr().err
 
 
 _BAD_FIELDS = {
@@ -322,6 +342,9 @@ def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):
     assert main(["eval", "--results", str(tmp_path / "rc.jsonl"),
                  "--truth", str(tmp_path / "tc.json")]) == 0
     assert "avg" in capsys.readouterr().out
+    (tmp_path / "s.meta.json").write_text("[]")
+    assert main([*run, "--stream", str(tmp_path / "s.csv")]) == 1
+    assert "sidecar must be a non-empty list" in capsys.readouterr().err
 
 
 def test_too_little_data_exits_1(tmp_path, capsys):

@@ -85,6 +85,29 @@ def test_injection_failure_raises():
         make_state_graphs(cfg, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("d,degree,e,room,count", [
+    (2, 10.0, 100.0, 0, 1),             # state 1 holds the one edge 2 nodes allow
+    (4, float("inf"), 200.0, 3, 6),     # half of the complete 6-edge DAG, room 3
+])
+def test_injection_without_room_fails_before_any_draw(d, degree, e, room, count):
+    """The room check draws nothing: the generator ends where the same graphs
+    without noise edges leave it."""
+    rng = np.random.default_rng(0)
+    make_state_graphs(SynthConfig(d=d, m=2, er_expected_degree=degree), rng)
+    after_graphs = rng.bit_generator.state
+    rng = np.random.default_rng(0)
+    with pytest.raises(GenerationError, match=f"^state 1 has room for {room} more acyclic "
+                                              f"edges, not the {count} noise edges asked for$"):
+        make_state_graphs(SynthConfig(d=d, m=2, e=e, er_expected_degree=degree), rng)
+    assert rng.bit_generator.state == after_graphs
+
+
+def test_injection_fills_the_room_exactly():
+    graphs = make_state_graphs(SynthConfig(d=4, m=2, e=100.0, er_expected_degree=float("inf")),
+                               np.random.default_rng(0))
+    assert int(graphs[0].sum()) == 6 and is_acyclic_dfs(graphs[0])
+
+
 def test_generate_stream_layout():
     cfg = SynthConfig(d=4, m=3, e=0.0, n_per_state=120, batch_size=50, seed=2)
     batches, truth = generate(cfg)
