@@ -49,12 +49,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
 
     def flag(p, name, *, typ=None, choices=None, default=None, helptext=""):
         dest = name.lstrip("-").replace("-", "_")
-        if typ is bool:
-            p.add_argument(name, dest=dest, action="store_const", const=True,
-                           default=None, help=helptext)
-        else:
-            p.add_argument(name, dest=dest, type=typ, choices=choices,
-                           default=None, help=helptext)
+        kind = dict(action="store_const", const=True) if typ is bool else dict(type=typ, choices=choices)
+        p.add_argument(name, dest=dest, default=None, help=helptext, **kind)
         flags[p.prog.split()[-1]][dest] = (default, typ, choices)
 
     def command(name, helptext):
@@ -66,15 +62,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
 
     p = command("synth", "generate a synthetic stream and ground truth")
     flag(p, "--d", typ=int, default=None, helptext="number of variables (required)")
-    flag(p, "--m", typ=int, default=2, helptext="number of system states")
-    flag(p, "--e", typ=float, default=0.0,
+    flag(p, "--m", typ=int, default=SynthConfig.m, helptext="number of system states")
+    flag(p, "--e", typ=float, default=SynthConfig.e,
          helptext="percent of spurious edges injected into each non-final state")
-    flag(p, "--mechanism", choices=sorted(MECHANISMS), default="LG")
-    flag(p, "--degree", typ=float, default=4.0, helptext="expected node degree of the final DAG")
-    flag(p, "--n-per-state", typ=int, default=500)
-    flag(p, "--batch-size", typ=int, default=50)
-    flag(p, "--seed", typ=int, default=0)
-    flag(p, "--noise-scale", typ=float, default=1.0)
+    flag(p, "--mechanism", choices=sorted(MECHANISMS), default=SynthConfig.mechanism)
+    flag(p, "--degree", typ=float, default=SynthConfig.er_expected_degree,
+         helptext="expected node degree of the final DAG")
+    flag(p, "--n-per-state", typ=int, default=SynthConfig.n_per_state)
+    flag(p, "--batch-size", typ=int, default=SynthConfig.batch_size)
+    flag(p, "--seed", typ=int, default=SynthConfig.seed)
+    flag(p, "--noise-scale", typ=float, default=SynthConfig.noise_scale)
     flag(p, "--out", default="stream.jsonl", helptext="stream output path, or - for stdout")
     flag(p, "--truth", default="truth.json", helptext="ground-truth output path")
     flag(p, "--csv", typ=bool, default=False, helptext="write CSV + sidecar instead of JSONL")
@@ -83,20 +80,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--stream", default="-", helptext="stream path, or - for stdin")
     flag(p, "--sidecar", default=None, helptext="row-range metadata for CSV streams")
     flag(p, "--out", default="-", helptext="results path, or - for stdout")
-    flag(p, "--mode", choices=sorted(MODES), default="marlin")
-    flag(p, "--workers", typ=int, default=1)
-    flag(p, "--beta", typ=float, default=0.5, helptext="fusion weight on the state-specific action")
-    flag(p, "--lambda1", typ=float, default=0.1, helptext="decoupling weight, state-specific reward")
-    flag(p, "--lambda2", typ=float, default=0.1, helptext="decoupling weight, state-invariant reward")
-    flag(p, "--gamma", typ=float, default=0.99, helptext="baseline smoothing factor")
-    flag(p, "--xi-threshold", typ=float, default=0.98,
+    flag(p, "--mode", choices=sorted(MODES), default=OnlineConfig.mode)
+    flag(p, "--workers", typ=int, default=OnlineConfig.workers)
+    flag(p, "--beta", typ=float, default=OnlineConfig.beta,
+         helptext="fusion weight on the state-specific action")
+    flag(p, "--lambda1", typ=float, default=ScoreConfig.penalty_lambda1,
+         helptext="decoupling weight, state-specific reward")
+    flag(p, "--lambda2", typ=float, default=ScoreConfig.penalty_lambda2,
+         helptext="decoupling weight, state-invariant reward")
+    flag(p, "--gamma", typ=float, default=OnlineConfig.gamma, helptext="baseline smoothing factor")
+    flag(p, "--xi-threshold", typ=float, default=OnlineConfig.xi_threshold,
          helptext="early exit once xi exceeds it, i.e. once fewer than "
                   "(1 - xi_threshold) * d(d-1) / 0.98861 edge cells flip between batches")
-    flag(p, "--episodes", typ=int, default=64, helptext="training episodes per batch")
-    flag(p, "--seed", typ=int, default=0)
-    flag(p, "--score", choices=sorted(BACKENDS), default="linear", helptext="regression family for the fit score")
-    flag(p, "--lr", typ=float, default=0.01)
-    flag(p, "--no-timing", typ=bool, default=False, helptext="write wall_ms as 0.0 for byte-stable output")
+    flag(p, "--episodes", typ=int, default=OnlineConfig.episodes_per_batch,
+         helptext="training episodes per batch")
+    flag(p, "--seed", typ=int, default=OnlineConfig.seed)
+    flag(p, "--score", choices=sorted(BACKENDS), default=ScoreConfig.backend,
+         helptext="regression family for the fit score")
+    flag(p, "--lr", typ=float, default=OnlineConfig.lr)
+    flag(p, "--no-timing", typ=bool, default=not OnlineConfig.timing,
+         helptext="write wall_ms as 0.0 for byte-stable output")
 
     p = command("eval", "score results against ground truth")
     flag(p, "--results", default=None, helptext="results file from `run` (required)")
@@ -109,7 +112,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--sidecar", default=None)
     flag(p, "--state", typ=int, default=None, helptext="state index containing the fault (required)")
     flag(p, "--rows", default=None, helptext="fault row range within the state, START:STOP (required)")
-    flag(p, "--restart", typ=float, default=0.3, helptext="restart probability of the walk")
+    flag(p, "--restart", typ=float, default=RwrConfig.restart_prob,
+         helptext="restart probability of the walk")
     flag(p, "--roots", default=None, helptext="comma-separated true root nodes; enables ranking metrics")
     flag(p, "--k", default="1,3,5", helptext="comma-separated K values for PR@K and AP@K")
     flag(p, "--json", default=None, helptext="also write the rank list as JSON to this path")

@@ -300,52 +300,35 @@ class BatchScorer:
         moved[c, i, j] is the term of the node at position i when put back at
         slot j of the others (j = i leaves it in place), passed[c, i, k] the
         term of the k-th other node with node i toggled in its predecessors.
-        A selection among fewer candidates that still hold the parents chosen
-        among more gives the same parents and term.  So a moved node keeps
-        its current term at the earlier slots that keep its parents, and its
-        term among all others at the later slots that hold those parents; a
-        passed node that loses a predecessor it did not choose keeps its
-        current term, and one that gains a predecessor while its choice among
-        all others is within reach takes that choice.  The rest is selected.
+        Forward selection takes the same steps among fewer candidates as long
+        as they still hold the parents it chose among more.  So a selection
+        among candidates C that chose parents P serves every query whose
+        candidate mask M has P <= M <= C, and _reused applies this rule to
+        each node's selections among its predecessors and among all others.
+        The rest is selected.
         """
         d = self.d
         pos, rest, slot = self._layout
         n_orders = len(orders)
-        rows = np.arange(n_orders)[:, None]
+        rows = np.arange(n_orders)[:, None, None]
         bits = 1 << orders                                            # (C, d)
         prefix = np.concatenate([np.zeros((n_orders, 1), dtype=np.int64),
                                  np.cumsum(bits, axis=1)], axis=1)    # masks of order[:k]
-        # predecessors of the node at position i put back at slot j
-        masks = prefix[:, slot] - np.where(pos[None, :] > pos[:, None], bits[:, :, None], 0)
-        everyone = prefix[:, d:] - bits
-        terms, parents = self._lookup(np.concatenate([orders, orders]).ravel(),
-                                      np.concatenate([prefix[:, :d], everyone]).ravel())
-        cur, all_term = terms.reshape(2, n_orders, d)       # in place, and among all others
-        keep, all_par = parents.reshape(2, n_orders, d)
-        # slot j holds the parents p iff every parent sits before slot j in the rest
-        place = np.argsort(orders, axis=1)                            # node -> position
-        rpos = place[:, None, :] - (place[:, None, :] > pos[None, :, None])
-        def first_slot(par):
-            held = ((par[:, :, None] >> np.arange(d)) & 1).astype(bool)
-            return np.where(held, rpos, -1).max(axis=2, keepdims=True) + 1
-        j = pos[None, None, :]
-        keeps_cur = (j >= first_slot(keep)) & (j <= pos[None, :, None])
-        keeps_all = j >= first_slot(all_par)
-        moved = np.where(keeps_cur, cur[:, :, None], np.where(keeps_all, all_term[:, :, None], np.nan))
-        # the k-th other node of row i: its position, predecessors and choices
-        other = rest[None, :, :]
-        pred = prefix[rows[:, :, None], other]
-        bit = bits[:, :, None]
-        loses = other > pos[None, :, None]
-        unchosen = (keep[rows[:, :, None], other] & bit) == 0
-        within = (all_par[rows[:, :, None], other] & ~(pred | bit)) == 0
-        passed = np.where(loses, np.where(unchosen, cur[rows[:, :, None], other], np.nan),
-                          np.where(within, all_term[rows[:, :, None], other], np.nan))
+        # the candidates of the node at position i put back at slot j, and of
+        # the k-th other node with node i toggled
+        moved_masks = prefix[:, slot] - np.where(pos[None, :] > pos[:, None], bits[:, :, None], 0)
+        passed_masks = prefix[rows, rest] ^ bits[:, :, None]
+        cand = np.stack([prefix[:, :d], prefix[:, d:] - bits])      # predecessors, all others
+        terms, parents = (v.reshape(cand.shape) for v in self._lookup(
+            np.concatenate([orders, orders]).ravel(), cand.ravel()))
+        moved = _reused(terms[..., None], parents[..., None], cand[..., None], moved_masks)
+        passed = _reused(terms[:, rows, rest], parents[:, rows, rest], cand[:, rows, rest],
+                         passed_masks)
         mc, mi, mj = np.nonzero(np.isnan(moved))
         pc, pi, pk = np.nonzero(np.isnan(passed))
         terms, _ = self._lookup(
             np.concatenate([orders[mc, mi], orders[pc, rest[pi, pk]]]),
-            np.concatenate([masks[mc, mi, mj], pred[pc, pi, pk] ^ bits[pc, pi]]))
+            np.concatenate([moved_masks[mc, mi, mj], passed_masks[pc, pi, pk]]))
         moved[mc, mi, mj] = terms[:mc.size]
         passed[pc, pi, pk] = terms[mc.size:]
         return moved, passed
@@ -375,10 +358,7 @@ class BatchScorer:
             if any(lo <= b and a <= hi for a, b in taken):
                 continue
             taken.append((lo, hi))
-            if j < i:
-                new_order[lo:hi + 1] = np.concatenate([[order[i]], order[j:i]])
-            else:
-                new_order[lo:hi + 1] = np.concatenate([order[i + 1:j + 1], [order[i]]])
+            new_order[lo:hi + 1] = np.insert(np.delete(order, i), j, order[i])[lo:hi + 1]
         return (new_order if taken else None), total
 
     def _lookup(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +435,18 @@ class BatchScorer:
             chosen[live] |= bits[pick]
         term = n * np.log(fit) + k * np.log(n)
         return term, chosen
+
+
+def _reused(terms, parents, cand, masks) -> np.ndarray:
+    """The term of each candidate bitmask in ``masks`` from the first of a
+    node's selections that serves it (P <= M <= C, see _move_terms), nan
+    where none does.  terms, parents and cand stack the selections' terms,
+    parent masks P and candidate masks C on their first axis, each
+    broadcast against ``masks``."""
+    reused = np.full(masks.shape, np.nan)
+    for term, par, c in zip(terms[::-1], parents[::-1], cand[::-1]):
+        reused = np.where((par & ~masks | masks & ~c) == 0, term, reused)
+    return reused
 
 
 def _insertion_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from streamdag.cli import main
+from streamdag.engine import OnlineConfig, OnlineEngine
 from streamdag.io import (
     EpisodeRecord,
     StreamBatch,
@@ -15,6 +16,7 @@ from streamdag.io import (
     read_truth,
     write_results,
     write_stream,
+    write_truth,
 )
 from streamdag.synth import SynthConfig, generate
 
@@ -154,6 +156,24 @@ def test_config_file_merge_and_precedence(tmp_path):
     assert main(["run", "--stream", stream, "--config", str(cfg), "--seed", "12",
                  "--out", r3]) == 0
     assert (tmp_path / "r1.jsonl").read_bytes() != (tmp_path / "r3.jsonl").read_bytes()
+
+
+def test_flag_defaults_are_the_library_defaults(tmp_path):
+    """With only the required flags, synth and run write what the library's
+    default configurations give."""
+    stream, truth = tmp_path / "s.jsonl", tmp_path / "t.json"
+    assert main(["synth", "--d", "4", "--n-per-state", "100", "--out", str(stream),
+                 "--truth", str(truth)]) == 0
+    batches, want_truth = generate(SynthConfig(d=4, n_per_state=100))
+    write_stream(batches, tmp_path / "want_s.jsonl")
+    write_truth(want_truth, tmp_path / "want_t.json")
+    assert stream.read_bytes() == (tmp_path / "want_s.jsonl").read_bytes()
+    assert truth.read_bytes() == (tmp_path / "want_t.json").read_bytes()
+    assert main(["run", "--stream", str(stream), "--no-timing",
+                 "--out", str(tmp_path / "r.jsonl")]) == 0
+    write_results(OnlineEngine(4, OnlineConfig(timing=False)).run(batches),
+                  tmp_path / "want_r.jsonl")
+    assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "want_r.jsonl").read_bytes()
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -13,6 +13,7 @@ from streamdag.errors import (
 )
 from streamdag.graphs import complement, random_dag, topological_order
 from streamdag.scoring import (
+    _CLIMB_TOL,
     BACKENDS,
     BatchScorer,
     ScoreConfig,
@@ -182,6 +183,55 @@ def test_ordering_search_dag_follows_its_ordering():
         # the climb stopped at a local optimum: restarting there changes nothing
         again, dag_again = scorer.ordering_search([order])
         assert again == order and np.array_equal(dag_again, dag)
+
+
+def _mask(nodes):
+    return sum(1 << int(v) for v in nodes)
+
+
+def test_move_terms_equal_a_cold_selection_of_every_move():
+    """Every term _move_terms reuses from an earlier selection is the term a
+    scorer with an empty memo selects for the same query; a duplicated and a
+    summed column make some gains tie."""
+    rng = np.random.default_rng(80)
+    for case in range(120):
+        d = 3 + case % 6
+        x = _sample_linear(random_dag(d, 0.5, rng), 100, rng)
+        if case % 3 == 0:
+            x[:, 1] = x[:, 0]
+            x[:, 2] = x[:, 0] + x[:, 1]
+        orders = np.array([rng.permutation(d) for _ in range(3)])
+        moved, passed = BatchScorer(x, ScoreConfig())._move_terms(orders)
+        nodes, masks = [], []
+        for order in orders.tolist():
+            for i, node in enumerate(order):
+                others = order[:i] + order[i + 1:]
+                nodes += [node] * d                   # put back at slot j
+                masks += [_mask(others[:j]) for j in range(d)]
+                nodes += others                       # node i toggled in their predecessors
+                masks += [_mask(order[:order.index(v)]) ^ (1 << node) for v in others]
+        want, _ = BatchScorer(x, ScoreConfig())._lookup(np.array(nodes), np.array(masks))
+        got = np.concatenate([moved, passed], axis=2).ravel()
+        assert got.tolist() == want.tolist()
+
+
+def test_ordering_search_stops_where_no_insertion_move_improves():
+    for seed in range(60):
+        rng, _, x = _ordering_case(90 + seed, d=3 + seed % 6)
+        d = x.shape[1]
+        scorer = BatchScorer(x, ScoreConfig())
+        order, _ = scorer.ordering_search([rng.permutation(d) for _ in range(2)])
+
+        def total(order):
+            terms, _ = scorer._lookup(np.array(order), np.array([_mask(order[:k]) for k in range(d)]))
+            return terms.sum()
+        best = total(order)
+        tol = _CLIMB_TOL * (1.0 + abs(best))
+        for i in range(d):
+            for j in range(d):
+                if j != i:
+                    moved = np.insert(np.delete(order, i), j, order[i]).tolist()
+                    assert total(moved) >= best - tol
 
 
 def test_searches_and_node_rss_share_the_scorer_memo(monkeypatch):
