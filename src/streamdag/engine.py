@@ -179,14 +179,16 @@ class OnlineEngine:
             )
         start = time.perf_counter()
         transition = self.t is not None and (batch.transition or batch.t != self.t)
-        # The scorer is built and the batch checked before any state changes,
-        # so a batch they reject (too few rows for the state so far, or values
-        # whose statistics overflow) leaves the engine as it was.  The agents'
-        # batch_stats read the batch's raw moments, so those must be finite too.
+        # The batch is checked and the scorer built before any state changes, so
+        # a batch they reject (non-finite values, too few rows for the state so
+        # far, or overflowing statistics) leaves the engine as it was.  The
+        # agents' batch_stats read the batch's raw moments, so those must be finite too.
+        if not np.isfinite(x).all():
+            raise DataRangeError(f"batch {batch.t}/{batch.l} holds non-finite values")
         base = None if transition else self.state_scorer
         scorer = (BatchScorer(x, self.cfg.score, base=base)
                   if transition or not self.converged else None)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             if not np.isfinite((x * x).sum(axis=0)).all():
                 raise DataRangeError(f"batch {batch.t}/{batch.l}: the column sums of "
                                      "squares overflow float64")
@@ -255,9 +257,9 @@ class OnlineEngine:
             a_spec = action_to_dag(prop_spec.actions)
             a_inv = action_to_dag(prop_inv.actions)
             dec_s = decouple_specific(a_spec, prev.invariant, self.prev_state_est)
-            r_spec = reward("specific", bic, dec_s, cfg.score).total
+            r_spec = reward("specific", bic, dec_s, cfg.score)
             dec_i = decouple_invariant(a_inv, prev.specific, self.prev_state_est)
-            r_inv = reward("invariant", bic, dec_i, cfg.score).total
+            r_inv = reward("invariant", bic, dec_i, cfg.score)
         else:
             a_spec, a_inv = a_fused, None
             r_spec = -bic

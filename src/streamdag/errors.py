@@ -26,7 +26,7 @@ class InsufficientDataError(StreamDagError):
 
 
 class DataRangeError(StreamDagError):
-    """Batch values whose sums or products do not fit in float64."""
+    """Batch values that are not finite, or whose sums or products overflow float64."""
 
 
 class SchemaError(StreamDagError):

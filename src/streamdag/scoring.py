@@ -73,11 +73,6 @@ class ScoreConfig:
                 raise ConfigError(f"{name} must be finite and nonnegative")
 
 
-@dataclass
-class RewardBreakdown:
-    total: float | np.ndarray
-
-
 class BatchScorer:
     """The one store of a state's statistics, so many DAGs score cheaply.
 
@@ -498,7 +493,7 @@ def decouple_invariant(a_inv: np.ndarray, a_spec_prev: np.ndarray,
             + _sq_fro(a_inv, a_prev_state)) / d
 
 
-def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> RewardBreakdown:
+def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> float | np.ndarray:
     """Total agent reward: -bic + lambda * decouple.
 
     bic and decouple are numbers, or arrays of one term per episode.
@@ -509,4 +504,4 @@ def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> RewardBreakdown:
         lam = cfg.penalty_lambda2
     else:
         raise ConfigError(f"unknown agent kind {kind!r}")
-    return RewardBreakdown(total=-bic + lam * decouple)
+    return -bic + lam * decouple

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from streamdag.scoring import _RSS_FLOOR
+
 
 def is_acyclic_dfs(adj: np.ndarray) -> bool:
     """Cycle check by colored depth-first search."""
@@ -95,6 +97,51 @@ def bic_lstsq_reference(adj: np.ndarray, x: np.ndarray, backend: str = "linear")
         total += n * math.log(max(rss / n, 1e-300))
     total += float(adj.sum()) * math.log(n)
     return total
+
+
+def exact_optimum(scorer) -> tuple[float, np.ndarray]:
+    """The lowest BIC of any DAG on a BatchScorer's statistics, and a DAG
+    that reaches it (Silander & Myllymaki, UAI 2006).
+
+    The scorer's own _rss gives every node's RSS on every parent set, all
+    d * 2^(d-1) of them, so small d only.  Each node term is
+    n * log(max(RSS / n, floor)) + |P| * log(n).  A subset DP keeps each
+    node's best parent set within every candidate set, and a DP over node
+    subsets adds the nodes one at a time: the last node of a set takes its
+    best parents among the others.
+    """
+    d, n = scorer.d, scorer.n
+    full = 1 << d
+    masks = np.arange(full)
+    size = np.array([bin(m).count("1") for m in masks])
+    best = np.full((d, full), np.inf)     # best[i, C]: node i's term, parents within C
+    arg = np.zeros((d, full), dtype=np.int64)
+    for i in range(d):
+        own = masks[(masks >> i) & 1 == 0]
+        rss = scorer._rss(np.full(own.size, i), own)
+        best[i, own] = n * np.log(np.maximum(rss / n, _RSS_FLOOR)) + size[own] * np.log(n)
+        arg[i, own] = own
+        for j in range(d):                # one candidate at a time: C against C - {j}
+            with_j = own[(own >> j) & 1 == 1]
+            better = best[i, with_j ^ (1 << j)] < best[i, with_j]
+            best[i, with_j[better]] = best[i, with_j[better] ^ (1 << j)]
+            arg[i, with_j[better]] = arg[i, with_j[better] ^ (1 << j)]
+    total = np.full(full, np.inf)         # total[S]: best score of a DAG on the nodes in S
+    total[0] = 0.0
+    last = np.zeros(full, dtype=np.int64)
+    for s in masks[1:]:
+        members = np.flatnonzero((s >> np.arange(d)) & 1)
+        rest = s ^ (1 << members)
+        options = total[rest] + best[members, rest]
+        k = int(options.argmin())
+        total[s], last[s] = options[k], members[k]
+    adj = np.zeros((d, d), dtype=np.int8)
+    s = full - 1
+    while s:
+        i = last[s]
+        s ^= 1 << i
+        adj[:, i] = (arg[i, s] >> np.arange(d)) & 1
+    return float(total[-1]), adj
 
 
 def finite_diff_grad(fn, x: np.ndarray, step: float = 1e-4) -> np.ndarray:

@@ -48,13 +48,18 @@ def _check(rec):
     assert np.isfinite(rec.best_reward)
 
 
-def test_overflowing_first_batch_is_rejected_before_learning():
+@pytest.mark.parametrize("scale, message", [
+    (1e200, "sums of squares and products overflow"),
+    (np.nan, "batch 1/1 holds non-finite values"),
+    (np.inf, "batch 1/1 holds non-finite values"),
+], ids=["overflow", "nan", "inf"])
+def test_overflowing_first_batch_is_rejected_before_learning(scale, message):
     rng = np.random.default_rng(0)
     eng = OnlineEngine(4, OnlineConfig(episodes_per_batch=4, seed=0))
     x = rng.standard_normal((30, 4))
-    x[:, 1] *= 1e200
+    x[:, 1] *= scale
     before = _snapshot(eng)
-    with pytest.raises(DataRangeError):
+    with pytest.raises(DataRangeError, match=message):
         eng.process_batch(StreamBatch(t=1, l=1, transition=False, x=x))
     _assert_unchanged(before, _snapshot(eng))
     for l in (1, 2):
@@ -62,18 +67,24 @@ def test_overflowing_first_batch_is_rejected_before_learning():
                                              x=rng.standard_normal((30, 4)))))
 
 
-def test_overflowing_batch_on_the_early_exit_path_is_rejected():
+@pytest.mark.parametrize("value, message", [
+    (2e155, "batch 1/3: the column sums of squares overflow"),
+    (np.nan, "batch 1/3 holds non-finite values"),
+    (-np.inf, "batch 1/3 holds non-finite values"),
+], ids=["overflow", "nan", "inf"])
+def test_overflowing_batch_on_the_early_exit_path_is_rejected(value, message):
     """A converged engine scores nothing, but it checks the batch as the
-    learning path does: the row's square overflows, so the batch is rejected."""
+    learning path does: a row's square overflows, or one cell is not finite,
+    so the batch is rejected."""
     rng = np.random.default_rng(1)
     eng = OnlineEngine(3, OnlineConfig(episodes_per_batch=4, seed=0, xi_threshold=0.0))
     for l in (1, 2):
         eng.process_batch(StreamBatch(t=1, l=l, transition=False, x=rng.standard_normal((30, 3))))
     assert eng.converged
     x = rng.standard_normal((30, 3))
-    x[0, 1] = 2e155
+    x[0, 1] = value
     before = _snapshot(eng)
-    with pytest.raises(DataRangeError):
+    with pytest.raises(DataRangeError, match=message):
         eng.process_batch(StreamBatch(t=1, l=3, transition=False, x=x))
     _assert_unchanged(before, _snapshot(eng))
     for t, l in ((1, 3), (2, 1), (2, 2)):

@@ -1,10 +1,12 @@
-"""BIC scoring against a least-squares oracle, plus reward unit cases."""
+"""BIC scoring against a least-squares oracle and the exact optimum, plus
+reward unit cases."""
 
 import math
 
 import numpy as np
 import pytest
 
+from streamdag.engine import OnlineConfig, OnlineEngine
 from streamdag.errors import (
     ConfigError,
     DataRangeError,
@@ -22,8 +24,9 @@ from streamdag.scoring import (
     decouple_specific,
     reward,
 )
+from streamdag.synth import SynthConfig, generate
 
-from oracles import bic_lstsq_reference
+from oracles import bic_lstsq_reference, enumerate_dags, exact_optimum, is_acyclic_dfs
 
 
 def _sample_linear(adj, n, rng):
@@ -357,6 +360,36 @@ def test_ordering_search_never_picks_a_constant_parent():
         BatchScorer(x, ScoreConfig()).ordering_search([[0, 1, 2]])
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exact_optimum_is_the_best_of_every_dag(d, backend):
+    rng = np.random.default_rng(d)
+    x = _sample_linear(random_dag(d, 0.6, rng), 40, rng)
+    scorer = BatchScorer(x, ScoreConfig(backend=backend))
+    optimum, dag = exact_optimum(scorer)
+    # the oracle sums each node's term with its edges, _bic the terms first
+    assert optimum == pytest.approx(scorer.score_many(np.stack(enumerate_dags(d))).min(),
+                                    rel=1e-9)
+    assert is_acyclic_dfs(dag)
+    assert scorer.score(dag) == pytest.approx(optimum, rel=1e-9)
+
+
+@pytest.mark.parametrize("d, seed", [(6, 0), (8, 1), (10, 2)])
+def test_no_search_or_engine_dag_scores_below_the_exact_optimum(d, seed):
+    """One climb from the identity ordering and an engine's final estimate,
+    each against the optimum on the engine's final state statistics."""
+    batches, _ = generate(SynthConfig(d=d, m=2, n_per_state=100, seed=seed))
+    eng = OnlineEngine(d, OnlineConfig(episodes_per_batch=16, seed=seed))
+    a_est = [eng.process_batch(b) for b in batches][-1].a_est
+    scorer = eng.state_scorer
+    optimum, _ = exact_optimum(scorer)
+    _, climbed = scorer.ordering_search([list(range(d))])
+    gaps = scorer.score_many(np.stack([climbed, a_est])) - optimum
+    print(f"exact optimum d={d} seed={seed}: {optimum:.3f}; gap of one climb "
+          f"{gaps[0]:.3f}, of the engine {gaps[1]:.3f}")
+    assert (gaps >= -1e-9 * (1.0 + abs(optimum))).all()
+
+
 def test_config_rejects_unknown_backend():
     with pytest.raises(ConfigError):
         ScoreConfig(backend="cubic")
@@ -402,6 +435,6 @@ def test_decouple_unit_cases_d2():
 def test_reward_combines_bic_and_decouple():
     cfg = ScoreConfig(penalty_lambda1=0.1, penalty_lambda2=0.2)
     r1 = reward("specific", bic=10.0, decouple=3.0, cfg=cfg)
-    assert r1.total == pytest.approx(-10.0 + 0.1 * 3.0)
+    assert r1 == pytest.approx(-10.0 + 0.1 * 3.0)
     r2 = reward("invariant", bic=10.0, decouple=3.0, cfg=cfg)
-    assert r2.total == pytest.approx(-10.0 + 0.2 * 3.0)
+    assert r2 == pytest.approx(-10.0 + 0.2 * 3.0)
