@@ -10,20 +10,20 @@ better; the engine negates it into a reward.  The quadratic backend adds
 squares and pairwise products of the parents to the regressors.  A
 BatchScorer holds the centred sums of squares and products of those rows,
 so it scores any DAG in O(d) small solves, and a batch's scorer extends the
-state's earlier one.  It rejects rows whose statistics overflow float64.
+state's earlier one.  It rejects rows with a NaN or infinite cell, and rows
+whose statistics overflow float64.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
 the BIC-selected parents among its predecessors, and the ordering is
 hill-climbed with insertion moves.
 
-One memo routine (BatchScorer._memo) serves every query on a scorer's
-statistics, keyed node + d * parent bitmask.  It keeps two tables on the
-scorer: the RSS of exact parent sets, behind score, score_many and
-node_rss, and the search's selections among candidate sets, so a second
-search on the same scorer starts warm.  score_many scores the k DAGs of a
-policy update in one call, with one stacked solve per parent count for the
-regressions the memo lacks.
+score and score_many compute every regression they are asked for:
+score_many scores the k DAGs of a policy update in one call, with one
+stacked solve per parent count, and score makes one node_rss call per node.
+The scorer's one memo (BatchScorer._lookup) holds the search's selections,
+keyed node + d * candidate bitmask, so a second search on the same scorer
+starts warm.
 """
 
 from __future__ import annotations
@@ -87,13 +87,16 @@ class BatchScorer:
     scorer of the same state's earlier rows) adds its statistics to this
     batch's, so the scorer then scores against every row of the state seen
     so far.  score_many scores a stack of DAGs in one call;
-    ordering_search looks for a low-scoring DAG on the same statistics.
+    ordering_search looks for a low-scoring DAG on the same statistics, and
+    keeps its selections in the scorer's one memo.
     """
 
     def __init__(self, x: np.ndarray, cfg: ScoreConfig, base: "BatchScorer | None" = None):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-d, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise DataRangeError("the rows hold non-finite values (NaN or inf)")
         n, d = x.shape
         if d > MAX_SEARCH_NODES:
             raise ConfigError(f"a scorer handles at most {MAX_SEARCH_NODES} nodes")
@@ -132,9 +135,8 @@ class BatchScorer:
         if not np.isfinite(self._scatter).all():
             raise DataRangeError("the rows' sums of squares and products overflow float64")
         self._cov = self._scatter[:d, :d]
-        # The two memo tables (see _memo), never taken from base: RSS on exact
-        # parent sets, and the search's selections (term, parent bitmask).
-        self._rss_table = [np.zeros(0, dtype=np.int64), np.zeros(0)]
+        # The search's memo (see _lookup), never taken from base: the sorted
+        # keys node + d * candidate bitmask, their terms and parent bitmasks.
         self._selections = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)]
         self._layout = _insertion_layout(d)
 
@@ -146,38 +148,9 @@ class BatchScorer:
         return np.stack([mean, std], axis=1)
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
-        """Residual sum of squares of node on parents, memoised per scorer."""
+        """Residual sum of squares of node on parents."""
         mask = sum(1 << p for p in set(np.asarray(parents).tolist()))
-        return float(self._rss(np.array([node]), np.array([mask], dtype=np.int64))[0])
-
-    def _memo(self, table: list[np.ndarray], nodes: np.ndarray, masks: np.ndarray,
-              compute) -> list[np.ndarray]:
-        """The values in ``table`` of (node, bitmask) queries, computing the misses.
-
-        ``table`` holds the sorted keys node + d * mask seen so far, then one
-        array per value in key order.  The distinct keys it lacks go to
-        ``compute(nodes, masks)`` in ascending order, and what it returns
-        (one array per value) is merged in.
-        """
-        d = self.d
-        keys = nodes + d * masks
-        known = table[0]
-        new = np.sort(keys)           # np.unique's first call maps megabytes of code
-        new = new[np.diff(new, prepend=-1) != 0]
-        if known.size:
-            new = new[known[np.minimum(np.searchsorted(known, new), known.size - 1)] != new]
-        if new.size:
-            merged = np.concatenate([known, new])
-            order = np.argsort(merged)
-            table[:] = [merged[order]] + [np.concatenate([old, fresh])[order] for old, fresh
-                                          in zip(table[1:], compute(new % d, new // d))]
-        at = np.searchsorted(table[0], keys)
-        return [values[at] for values in table[1:]]
-
-    def _rss(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """RSS of each node on the parents in its bitmask, through the memo."""
-        return self._memo(self._rss_table, nodes, masks,
-                          lambda nodes, masks: [self._solve(nodes, masks)])[0]
+        return float(self._solve(np.array([node]), np.array([mask], dtype=np.int64))[0])
 
     def _solve(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """RSS of each node on the parents in its bitmask, in one stacked solve
@@ -226,7 +199,7 @@ class BatchScorer:
                 f"adjacency stack shape {a.shape} does not match batch with d={d}"
             )
         masks = ((a != 0).astype(np.int64) << np.arange(d)[:, None]).sum(axis=1)
-        rss = self._rss(np.broadcast_to(np.arange(d), masks.shape).ravel(), masks.ravel())
+        rss = self._solve(np.broadcast_to(np.arange(d), masks.shape).ravel(), masks.ravel())
         return self._bic(rss.reshape(masks.shape), a)
 
     def _bic(self, rss: np.ndarray, adjs: np.ndarray) -> np.ndarray:
@@ -358,16 +331,33 @@ class BatchScorer:
 
     def _lookup(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node terms and parent bitmasks of (node, candidate bitmask) queries,
-        through the selection memo; new queries are selected in chunks, so
-        that _select's Cholesky columns stay within _SELECT_BYTES."""
-        chunk = max(1, _SELECT_BYTES // (8 * self.d * self.d))
+        through the selection memo.
 
-        def select(nodes, masks):
-            parts = [self._select(nodes[i:i + chunk], masks[i:i + chunk])
-                     for i in range(0, len(nodes), chunk)]
-            return [np.concatenate(values) for values in zip(*parts)]
-        terms, parents = self._memo(self._selections, nodes, masks, select)
-        return terms, parents
+        The memo holds the sorted keys node + d * mask seen so far, with their
+        terms and parent bitmasks in key order.  The distinct keys it lacks
+        are selected in ascending order, in chunks so that _select's Cholesky
+        columns stay within _SELECT_BYTES, and merged in.
+        """
+        d = self.d
+        keys = nodes + d * masks
+        known = self._selections[0]
+        new = np.sort(keys)           # np.unique's first call maps megabytes of code
+        new = new[np.diff(new, prepend=-1) != 0]
+        if known.size:
+            new = new[known[np.minimum(np.searchsorted(known, new), known.size - 1)] != new]
+        if new.size:
+            chunk = max(1, _SELECT_BYTES // (8 * d * d))
+            new_nodes, new_masks = new % d, new // d
+            parts = [self._select(new_nodes[i:i + chunk], new_masks[i:i + chunk])
+                     for i in range(0, new.size, chunk)]
+            merged = np.concatenate([known, new])
+            order = np.argsort(merged)
+            self._selections = [merged[order]] + [
+                np.concatenate([old, *fresh])[order]
+                for old, fresh in zip(self._selections[1:], zip(*parts))]
+        known, terms, parents = self._selections
+        at = np.searchsorted(known, keys)
+        return terms[at], parents[at]
 
     def _select(self, nodes: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """BIC-selected parents of each node among the candidates in its bitmask.

@@ -103,7 +103,7 @@ def exact_optimum(scorer) -> tuple[float, np.ndarray]:
     """The lowest BIC of any DAG on a BatchScorer's statistics, and a DAG
     that reaches it (Silander & Myllymaki, UAI 2006).
 
-    The scorer's own _rss gives every node's RSS on every parent set, all
+    The scorer's own _solve gives every node's RSS on every parent set, all
     d * 2^(d-1) of them, so small d only.  Each node term is
     n * log(max(RSS / n, floor)) + |P| * log(n).  A subset DP keeps each
     node's best parent set within every candidate set, and a DP over node
@@ -118,7 +118,7 @@ def exact_optimum(scorer) -> tuple[float, np.ndarray]:
     arg = np.zeros((d, full), dtype=np.int64)
     for i in range(d):
         own = masks[(masks >> i) & 1 == 0]
-        rss = scorer._rss(np.full(own.size, i), own)
+        rss = scorer._solve(np.full(own.size, i), own)
         best[i, own] = n * np.log(np.maximum(rss / n, _RSS_FLOOR)) + size[own] * np.log(n)
         arg[i, own] = own
         for j in range(d):                # one candidate at a time: C against C - {j}

@@ -119,8 +119,12 @@ def test_criterion_01_acyclicity_sweep():
     for d in (2, 5, 10, 20):
         for _ in range(100_000 // 5_000):
             adj = action_to_dag(rng.standard_normal((5_000, d * (d + 1))))
-            # independent check: A is acyclic iff A^d = 0 (no length-d walks)
-            walks = np.linalg.matrix_power(adj.astype(np.int64), d)
+            # independent check: A is acyclic iff A^d = 0 (no length-d walks).
+            # In float64 the products go through BLAS.  The entries are
+            # non-negative walk counts of at most 20^19, far below overflow,
+            # and a sum of non-negative terms is 0 only if every term is, so
+            # a zero stays exactly zero however the large counts round.
+            walks = np.linalg.matrix_power(adj.astype(np.float64), d)
             failures += int(walks.any(axis=(1, 2)).sum())
             total += len(adj)
         # defense in depth: DFS oracle on a fresh subsample

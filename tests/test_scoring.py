@@ -99,14 +99,14 @@ def test_scorer_extends_its_base_with_a_batch():
         scorer = None
         for block in blocks:
             if scorer is not None:
-                for probe in probes:          # warm the base's node_rss memo
+                for probe in probes:          # the base scores before it is extended
                     scorer.score(probe)
             scorer = BatchScorer(block, cfg, base=scorer)
         assert scorer.n == 35
         whole = BatchScorer(np.concatenate(blocks), cfg)
         for probe in probes:
             assert scorer.score(probe) == pytest.approx(whole.score(probe), rel=1e-9)
-        # a warmed memo returns what a fresh scorer on the same rows computes
+        # a scorer that has scored returns what a fresh one on the same rows computes
         fresh = BatchScorer(np.concatenate(blocks), cfg)
         for probe in probes:
             assert whole.score(probe) == fresh.score(probe)
@@ -138,8 +138,8 @@ def test_column_moments_cover_every_row_of_the_extended_scorers():
 
 
 def test_score_many_matches_score():
-    """One batched pass over a stack gives each DAG's score(), whichever of
-    the two filled the memo first."""
+    """One batched pass over a stack gives each DAG's score(), and each row
+    of the stack scores exactly as that DAG alone does on a fresh scorer."""
     rng = np.random.default_rng(23)
     d = 5
     full = np.triu(np.ones((d, d), dtype=np.int8), 1)[np.ix_(*[rng.permutation(d)] * 2)]
@@ -149,21 +149,15 @@ def test_score_many_matches_score():
         probes = [random_dag(d, 0.5, rng) for _ in range(6)]
         stack = np.stack(probes + [np.zeros((d, d), dtype=np.int8), full] + probes[:3])
         base = BatchScorer(x[:40], cfg)
-        base.score_many(stack)
         for make in (lambda: BatchScorer(x, cfg), lambda: BatchScorer(x[40:], cfg, base=base)):
-            by_score = make()
-            want = [by_score.score(a) for a in stack]
             scorer = make()
-            cold = scorer.score_many(stack)
-            assert cold.shape == (len(stack),)
-            np.testing.assert_allclose(cold, want, rtol=1e-12, atol=0.0)
-            assert cold[-3:].tolist() == cold[:3].tolist()        # repeated DAGs
-            warm = scorer.score_many(stack[::-1])
-            assert warm.tolist() == cold[::-1].tolist()
-            np.testing.assert_allclose([scorer.score(a) for a in stack], want,
-                                       rtol=1e-12, atol=0.0)
-            # a memo that score() filled serves score_many
-            np.testing.assert_allclose(by_score.score_many(stack), want, rtol=1e-12, atol=0.0)
+            want = [scorer.score(a) for a in stack]
+            many = scorer.score_many(stack)
+            assert many.shape == (len(stack),)
+            np.testing.assert_allclose(many, want, rtol=1e-12, atol=0.0)
+            assert many[-3:].tolist() == many[:3].tolist()        # repeated DAGs
+            assert scorer.score_many(stack[::-1]).tolist() == many[::-1].tolist()
+            assert [make().score_many(a[None])[0] for a in stack] == many.tolist()
     with pytest.raises(DimensionMismatchError):
         scorer.score_many(stack[0])
 
@@ -237,28 +231,18 @@ def test_ordering_search_stops_where_no_insertion_move_improves():
                     assert total(moved) >= best - tol
 
 
-def test_searches_and_node_rss_share_the_scorer_memo(monkeypatch):
-    """The selections and the regressions live on the scorer: a second search
-    selects nothing, and node_rss solves nothing that score_many solved."""
+def test_a_second_search_on_the_scorer_selects_nothing(monkeypatch):
+    """The search's selections live on the scorer: a second search from the
+    same starts finds every selection in the scorer's memo."""
     rng, _, x = _ordering_case(60)
     scorer = BatchScorer(x, ScoreConfig())
     starts = [rng.permutation(8) for _ in range(3)]
     order, dag = scorer.ordering_search(starts)
     calls = []
-    for name in ("_select", "_solve"):
-        method = getattr(scorer, name)
-        monkeypatch.setattr(scorer, name, lambda *args, name=name, method=method: (
-            calls.append(name), method(*args))[1])
+    method = scorer._select
+    monkeypatch.setattr(scorer, "_select", lambda *args: (calls.append(args), method(*args))[1])
     again, dag_again = scorer.ordering_search(starts)
     assert again == order and np.array_equal(dag_again, dag)
-    assert "_select" not in calls
-    stack = np.stack([dag, random_dag(8, 0.4, rng)])
-    scorer.score_many(stack)
-    calls.clear()
-    for adj in stack:
-        for j in range(8):
-            scorer.node_rss(j, np.flatnonzero(adj[:, j]))
-        scorer.score(adj)
     assert calls == []
 
 
@@ -274,6 +258,17 @@ def test_scorer_rejects_statistics_that_overflow():
     base = BatchScorer(x, ScoreConfig())
     with pytest.raises(DataRangeError):
         BatchScorer(x, ScoreConfig(), base=base)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf], ids=["nan", "inf"])
+def test_scorer_rejects_non_finite_rows(cell):
+    """A NaN or infinite cell is named as such, not as an overflow."""
+    x = np.random.default_rng(63).standard_normal((20, 3))
+    x[7, 1] = cell
+    with pytest.raises(DataRangeError, match="non-finite"):
+        bic_score(np.zeros((3, 3), dtype=np.int8), x, ScoreConfig())
+    with pytest.raises(DataRangeError, match="non-finite"):
+        BatchScorer(x, ScoreConfig(), base=BatchScorer(x[:7], ScoreConfig()))
 
 
 def test_collinear_parents_below_the_ridge_still_solve():
