@@ -25,7 +25,7 @@ from .graphs import (
 from .io import EpisodeRecord, StreamBatch, read_results, read_stream, read_truth, write_results, write_stream, write_truth
 from .metrics import RankingReport, StructureReport, ranking_metrics, structure_metrics, summarize_run
 from .rca import RwrConfig, anomaly_zscores, fault_window_scores, rank_root_causes
-from .scoring import BatchScorer, ScoreConfig, bic_score, reward
+from .scoring import BatchScorer, bic_score, reward
 from .synth import GroundTruth, SynthConfig, generate, sem_sample
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "RankingReport",
     "RwrConfig",
     "SchemaError",
-    "ScoreConfig",
     "StreamBatch",
     "StreamDagError",
     "StructureReport",

@@ -35,7 +35,7 @@ from .io import (
 )
 from .metrics import METRIC_COLUMNS, final_records_per_state, ranking_metrics, summarize_run
 from .rca import RwrConfig, fault_window_scores, rank_root_causes
-from .scoring import BACKENDS, ScoreConfig
+from .scoring import BACKENDS
 from .synth import MECHANISMS, SynthConfig, generate
 
 # Untyped flags take a str; these also take the list their parser accepts.
@@ -84,9 +84,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--workers", typ=int, default=OnlineConfig.workers)
     flag(p, "--beta", typ=float, default=OnlineConfig.beta,
          helptext="fusion weight on the state-specific action")
-    flag(p, "--lambda1", typ=float, default=ScoreConfig.penalty_lambda1,
+    flag(p, "--lambda1", typ=float, default=OnlineConfig.penalty_lambda1,
          helptext="decoupling weight, state-specific reward")
-    flag(p, "--lambda2", typ=float, default=ScoreConfig.penalty_lambda2,
+    flag(p, "--lambda2", typ=float, default=OnlineConfig.penalty_lambda2,
          helptext="decoupling weight, state-invariant reward")
     flag(p, "--gamma", typ=float, default=OnlineConfig.gamma, helptext="baseline smoothing factor")
     flag(p, "--xi-threshold", typ=float, default=OnlineConfig.xi_threshold,
@@ -95,7 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--episodes", typ=int, default=OnlineConfig.episodes_per_batch,
          helptext="training episodes per batch")
     flag(p, "--seed", typ=int, default=OnlineConfig.seed)
-    flag(p, "--score", choices=sorted(BACKENDS), default=ScoreConfig.backend,
+    flag(p, "--score", choices=sorted(BACKENDS), default=OnlineConfig.backend,
          helptext="regression family for the fit score")
     flag(p, "--lr", typ=float, default=OnlineConfig.lr)
     flag(p, "--no-timing", typ=bool, default=not OnlineConfig.timing,
@@ -178,11 +178,10 @@ def _cmd_synth(opts: dict) -> int:
 
 
 def _cmd_run(opts: dict) -> int:
-    score = ScoreConfig(backend=opts["score"], penalty_lambda1=opts["lambda1"],
-                        penalty_lambda2=opts["lambda2"])
     cfg = OnlineConfig(beta=opts["beta"], xi_threshold=opts["xi_threshold"],
                        episodes_per_batch=opts["episodes"], mode=opts["mode"],
-                       workers=opts["workers"], seed=opts["seed"], score=score,
+                       workers=opts["workers"], seed=opts["seed"], backend=opts["score"],
+                       penalty_lambda1=opts["lambda1"], penalty_lambda2=opts["lambda2"],
                        lr=opts["lr"], gamma=opts["gamma"], timing=not opts["no_timing"])
     source = sys.stdin if opts["stream"] == "-" else opts["stream"]
     batches = read_stream(source, sidecar=opts["sidecar"])

@@ -15,7 +15,9 @@ The episodes of a learning batch run in updates of EPISODES_PER_UPDATE:
 each agent encodes once, draws that many actions from one decoded policy,
 the fused DAGs are mapped and scored as one stack (BatchScorer.score_many),
 and each agent takes one train_step on all of them (batched policy-gradient
-updates, as in RL-BIC, Zhu et al. 2020).
+updates, as in RL-BIC, Zhu et al. 2020).  An agent's reward is the DAG's
+-BIC plus its decoupling term at its own weight, penalty_lambda1 for the
+specific agent and penalty_lambda2 for the invariant one.
 
 Every episode is scored on the current state's rows so far: the engine
 keeps one BatchScorer per state, extends its statistics with each learning
@@ -31,7 +33,7 @@ batches are more similar than xi_threshold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +43,9 @@ from .errors import ConfigError, DataRangeError, DimensionMismatchError
 from .graphs import action_to_dag, graph_size, split_action
 from .io import EpisodeRecord
 from .scoring import (
+    BACKENDS,
     MAX_SEARCH_NODES,
     BatchScorer,
-    ScoreConfig,
     decouple_invariant,
     decouple_specific,
     reward,
@@ -63,13 +65,17 @@ EPISODES_PER_UPDATE = 16
 
 @dataclass
 class OnlineConfig:
+    """Every setting of a run, the scorer's backend and the reward weights included."""
+
     beta: float = 0.5
     xi_threshold: float = 0.98
     episodes_per_batch: int = 64
     mode: str = "marlin"
     workers: int = 1
     seed: int = 0
-    score: ScoreConfig = field(default_factory=ScoreConfig)
+    backend: str = "linear"       # the BatchScorer's regression family
+    penalty_lambda1: float = 0.1  # decoupling weight of the specific agent's reward
+    penalty_lambda2: float = 0.1  # ... and of the invariant agent's
     lr: float = 0.01
     gamma: float = 0.99
     timing: bool = True           # False writes wall_ms = 0.0 for byte-stable output
@@ -81,6 +87,14 @@ class OnlineConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.mode in ("marlin", "marlin-s") and self.workers != 1:
             raise ConfigError(f"mode {self.mode} runs a single worker")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        for name in ("penalty_lambda1", "penalty_lambda2"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be finite and nonnegative")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.xi_threshold <= 1.0:
@@ -186,7 +200,7 @@ class OnlineEngine:
         if not np.isfinite(x).all():
             raise DataRangeError(f"batch {batch.t}/{batch.l} holds non-finite values")
         base = None if transition else self.state_scorer
-        scorer = (BatchScorer(x, self.cfg.score, base=base)
+        scorer = (BatchScorer(x, self.cfg.backend, base=base)
                   if transition or not self.converged else None)
         with np.errstate(over="ignore"):
             if not np.isfinite((x * x).sum(axis=0)).all():
@@ -257,9 +271,9 @@ class OnlineEngine:
             a_spec = action_to_dag(prop_spec.actions)
             a_inv = action_to_dag(prop_inv.actions)
             dec_s = decouple_specific(a_spec, prev.invariant, self.prev_state_est)
-            r_spec = reward("specific", bic, dec_s, cfg.score)
+            r_spec = reward(bic, dec_s, cfg.penalty_lambda1)
             dec_i = decouple_invariant(a_inv, prev.specific, self.prev_state_est)
-            r_inv = reward("invariant", bic, dec_i, cfg.score)
+            r_inv = reward(bic, dec_i, cfg.penalty_lambda2)
         else:
             a_spec, a_inv = a_fused, None
             r_spec = -bic

@@ -6,12 +6,14 @@ The score of a graph A against the n x d rows X seen so far in a state is
 
 where RSS_i is the residual sum of squares of regressing column i on its
 parent columns (intercept-only when the parent set is empty).  Lower is
-better; the engine negates it into a reward.  The quadratic backend adds
-squares and pairwise products of the parents to the regressors.  A
-BatchScorer holds the centred sums of squares and products of those rows,
-so it scores any DAG in O(d) small solves, and a batch's scorer extends the
-state's earlier one.  It rejects rows with a NaN or infinite cell, and rows
-whose statistics overflow float64.
+better; reward negates it and adds an agent's decoupling term at the weight
+the engine passes in.  A scorer's one setting is its backend: the quadratic
+backend adds squares and pairwise products of the parents to the
+regressors, the linear one does not.  A BatchScorer holds the centred sums
+of squares and products of those rows, so it scores any DAG in O(d) small
+solves, and a batch's scorer extends the state's earlier one.  It rejects
+rows with a NaN or infinite cell, and rows whose statistics overflow
+float64.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
@@ -27,8 +29,6 @@ starts warm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,40 +58,26 @@ _RIDGE_EPS = 1e-8
 MAX_SEARCH_NODES = 57
 
 
-@dataclass
-class ScoreConfig:
-    backend: str = "linear"
-    penalty_lambda1: float = 0.1
-    penalty_lambda2: float = 0.1
-
-    def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        for name in ("penalty_lambda1", "penalty_lambda2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative")
-
-
 class BatchScorer:
     """The one store of a state's statistics, so many DAGs score cheaply.
 
-    The features are [X | quadratic features].  Their Gram matrix, with an
-    intercept column, is accumulated about an origin, the column means of
-    the state's first batch, so columns whose means dwarf their spread keep
-    their precision.  Everything else reads the centred matrix built from
-    it (the scatter), in which the intercept is absorbed exactly: per node
-    _solve solves ridge-regularized normal equations on the sub-block
-    selected by its parent set, _select runs on its linear block, and
-    column_moments gives the columns' mean and std.  Passing ``base`` (the
-    scorer of the same state's earlier rows) adds its statistics to this
-    batch's, so the scorer then scores against every row of the state seen
-    so far.  score_many scores a stack of DAGs in one call;
-    ordering_search looks for a low-scoring DAG on the same statistics, and
-    keeps its selections in the scorer's one memo.
+    The features are X, and under the quadratic backend (which a ``base``
+    must share) also their squares and pairwise products.  Their Gram
+    matrix, with an intercept column, is accumulated about an origin, the
+    column means of the state's first batch, so columns whose means dwarf
+    their spread keep their precision.  Everything else reads the centred
+    matrix built from it (the scatter), in which the intercept is absorbed
+    exactly: per node _solve solves ridge-regularized normal equations on
+    the sub-block selected by its parent set, _select runs on its linear
+    block, and column_moments gives the columns' mean and std.  Passing
+    ``base`` (the scorer of the same state's earlier rows) adds its
+    statistics to this batch's, so the scorer then scores against every row
+    of the state seen so far.  score_many scores a stack of DAGs in one
+    call; ordering_search looks for a low-scoring DAG on the same
+    statistics, and keeps its selections in the scorer's one memo.
     """
 
-    def __init__(self, x: np.ndarray, cfg: ScoreConfig, base: "BatchScorer | None" = None):
+    def __init__(self, x: np.ndarray, backend: str = "linear", base: "BatchScorer | None" = None):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-d, got shape {x.shape}")
@@ -100,16 +86,18 @@ class BatchScorer:
         n, d = x.shape
         if d > MAX_SEARCH_NODES:
             raise ConfigError(f"a scorer handles at most {MAX_SEARCH_NODES} nodes")
+        if backend not in BACKENDS:
+            raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if base is not None:
-            if base.d != d or base.cfg.backend != cfg.backend:
+            if base.d != d or base.backend != backend:
                 raise DimensionMismatchError(
-                    f"cannot extend a d={base.d} {base.cfg.backend} scorer with a "
-                    f"d={d} {cfg.backend} batch"
+                    f"cannot extend a d={base.d} {base.backend} scorer with a "
+                    f"d={d} {backend} batch"
                 )
             n += base.n
         if n < d + 2:
             raise InsufficientDataError(f"need at least d+2={d + 2} rows, got {n}")
-        self.cfg = cfg
+        self.backend = backend
         self.n = n
         self.d = d
         # feature column index: 0..d-1 linear, then squares, then pairs;
@@ -120,7 +108,7 @@ class BatchScorer:
             self._origin = x.mean(axis=0) if base is None else base._origin
             x = x - self._origin
             cols = [np.ones((x.shape[0], 1)), x]
-            if cfg.backend == "quadratic":
+            if backend == "quadratic":
                 cols.append(x * x)
                 i, j = np.triu_indices(d, 1)
                 self._pair_col[i, j] = 2 * d + np.arange(i.size)
@@ -164,7 +152,7 @@ class BatchScorer:
             q, p = group.size, count[group[0]]
             parents = np.nonzero(held[group])[1].reshape(q, p)
             cols = [parents]
-            if self.cfg.backend == "quadratic":
+            if self.backend == "quadratic":
                 i, j = np.triu_indices(p, 1)
                 cols += [d + parents, self._pair_col[parents[:, i], parents[:, j]]]
             cols = np.concatenate(cols, axis=1)
@@ -443,11 +431,11 @@ def _insertion_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, rest, slot
 
 
-def bic_score(adj: np.ndarray, x: np.ndarray, cfg: ScoreConfig) -> float:
+def bic_score(adj: np.ndarray, x: np.ndarray, backend: str = "linear") -> float:
     """One-off BIC of a DAG against a batch; see BatchScorer for the formula."""
     if not is_acyclic(adj):
         raise CyclicGraphError("bic_score requires an acyclic graph")
-    return BatchScorer(x, cfg).score(adj)
+    return BatchScorer(x, backend).score(adj)
 
 
 def _sq_fro(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
@@ -483,15 +471,10 @@ def decouple_invariant(a_inv: np.ndarray, a_spec_prev: np.ndarray,
             + _sq_fro(a_inv, a_prev_state)) / d
 
 
-def reward(kind: str, bic, decouple, cfg: ScoreConfig) -> float | np.ndarray:
-    """Total agent reward: -bic + lambda * decouple.
+def reward(bic, decouple, lam: float) -> float | np.ndarray:
+    """Total agent reward: -bic + lam * decouple, lam being the agent's
+    decoupling weight.
 
     bic and decouple are numbers, or arrays of one term per episode.
     """
-    if kind == "specific":
-        lam = cfg.penalty_lambda1
-    elif kind == "invariant":
-        lam = cfg.penalty_lambda2
-    else:
-        raise ConfigError(f"unknown agent kind {kind!r}")
     return -bic + lam * decouple

@@ -53,6 +53,8 @@ class SynthConfig:
             raise ConfigError("er_expected_degree must be positive")
         if not 1 <= self.batch_size <= self.n_per_state:
             raise ConfigError("need 1 <= batch_size <= n_per_state")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be finite and positive, got {self.noise_scale}")
 

@@ -37,7 +37,6 @@ from streamdag.nn import (
 )
 from streamdag.rca import RwrConfig, anomaly_zscores, rank_root_causes
 from streamdag.scoring import (
-    ScoreConfig,
     bic_score,
     decouple_invariant,
     decouple_specific,
@@ -189,7 +188,7 @@ def test_criterion_04_bic_oracle():
         adj = random_dag(d, 0.4, rng)
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) * 0.7
         backend = "linear" if k % 2 == 0 else "quadratic"
-        got = bic_score(adj, x, ScoreConfig(backend=backend))
+        got = bic_score(adj, x, backend)
         want = bic_lstsq_reference(adj, x, backend)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     ok = worst < 1e-8
@@ -275,12 +274,9 @@ def test_criterion_06_reward_arithmetic():
     checks.append(decouple_specific(a, a, b) == 1.0)
     checks.append(decouple_invariant(a, b, b) == 1.0)
     # reward composition: total = -bic + lambda * decouple
-    cfg1 = ScoreConfig(penalty_lambda1=1.0)
-    checks.append(reward("specific", 3.0, 1.0, cfg1) == -2.0)
-    cfg0 = ScoreConfig(penalty_lambda1=0.0)
-    checks.append(reward("specific", 3.0, 1.0, cfg0) == -3.0)
-    checks.append(reward("invariant", 1.0, 2.0, ScoreConfig(penalty_lambda2=0.5))
-                  == pytest.approx(0.0))
+    checks.append(reward(3.0, 1.0, 1.0) == -2.0)
+    checks.append(reward(3.0, 1.0, 0.0) == -3.0)
+    checks.append(reward(1.0, 2.0, 0.5) == pytest.approx(0.0))
     ok = all(checks)
     assert _verdict(6, "reward-arithmetic", ok, f"{sum(checks)}/{len(checks)} exact")
 

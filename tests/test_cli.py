@@ -13,6 +13,7 @@ from streamdag.io import (
     EpisodeRecord,
     StreamBatch,
     read_results,
+    read_stream,
     read_truth,
     write_results,
     write_stream,
@@ -237,6 +238,55 @@ def test_invalid_engine_config_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "r.jsonl")]) == 1
     assert capsys.readouterr().err == "error: lr must be finite and positive, got inf\n"
     assert not (tmp_path / "r.jsonl").exists()
+    # so is a negative or non-finite decoupling weight
+    for flag, name in (("--lambda1", "penalty_lambda1"), ("--lambda2", "penalty_lambda2")):
+        for value in ("-1", "nan", "inf"):
+            assert main(["run", "--stream", str(tmp_path / "s.jsonl"), flag, value,
+                         "--out", str(tmp_path / "r.jsonl")]) == 1
+            assert capsys.readouterr().err == f"error: {name} must be finite and nonnegative\n"
+            assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("route", ["synth flag", "run flag", "synth config", "run config"])
+def test_negative_seed_exits_1(tmp_path, capsys, route):
+    """A negative seed is invalid configuration, whether it comes as a flag
+    or through a config file."""
+    command, how = route.split()
+    if command == "synth":
+        args = _synth_args(tmp_path)
+        args.remove("--seed=7")
+    else:
+        assert main(_synth_args(tmp_path)) == 0
+        args = ["run", "--stream", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+    if how == "flag":
+        args += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        args += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(args) == 1
+    want = "-1" if how == "flag" else "-3"
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {want}\n"
+    assert not (tmp_path / ("s.jsonl" if command == "synth" else "r.jsonl")).exists()
+
+
+def test_run_flags_reach_the_engine(tmp_path):
+    """Every learning setting of run, at a value other than its default,
+    gives what the engine writes with the matching OnlineConfig."""
+    assert main(_synth_args(tmp_path)) == 0
+    stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+    assert main(["run", "--stream", str(stream), "--score", "quadratic", "--lambda1", "0.3",
+                 "--lambda2", "0.05", "--beta", "0.7", "--gamma", "0.9", "--lr", "0.02",
+                 "--xi-threshold", "0.9", "--no-timing", "--out", str(out)]) == 0
+    cfg = OnlineConfig(backend="quadratic", penalty_lambda1=0.3, penalty_lambda2=0.05,
+                       beta=0.7, gamma=0.9, lr=0.02, xi_threshold=0.9, timing=False)
+    batches = list(read_stream(stream))
+    write_results(OnlineEngine(4, cfg).run(batches), tmp_path / "want.jsonl")
+    assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    write_results(OnlineEngine(4, OnlineConfig(timing=False)).run(batches),
+                  tmp_path / "default.jsonl")
+    assert out.read_bytes() != (tmp_path / "default.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("flag,fragment", [

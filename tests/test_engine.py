@@ -8,7 +8,7 @@ import pytest
 from streamdag.engine import EpisodeRecord, OnlineConfig, OnlineEngine, graph_similarity
 from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.io import StreamBatch, record_to_dict
-from streamdag.scoring import ScoreConfig, bic_score
+from streamdag.scoring import bic_score
 from streamdag.synth import SynthConfig, generate
 
 from oracles import is_acyclic_dfs
@@ -81,7 +81,20 @@ def test_config_validation():
             OnlineConfig(lr=lr)
     with pytest.raises(ConfigError):
         OnlineConfig(gamma=1.5)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        OnlineConfig(seed=-1)
+    for name in ("penalty_lambda1", "penalty_lambda2"):
+        for value in (-1.0, -1e-12, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite and nonnegative"):
+                OnlineConfig(**{name: value})
     OnlineConfig(mode="marlin-m", workers=1)    # single worker is allowed
+
+
+def test_config_takes_the_scorer_backend_and_the_decoupling_weights():
+    cfg = OnlineConfig()
+    assert (cfg.backend, cfg.penalty_lambda1, cfg.penalty_lambda2) == ("linear", 0.1, 0.1)
+    cfg = OnlineConfig(backend="quadratic", penalty_lambda1=0.0, penalty_lambda2=2.5)
+    assert (cfg.backend, cfg.penalty_lambda1, cfg.penalty_lambda2) == ("quadratic", 0.0, 2.5)
 
 
 def test_engine_rejects_bad_dimensions():
@@ -180,7 +193,8 @@ def test_best_reward_is_negated_fit_score():
     eng = OnlineEngine(d=2, cfg=cfg)
     batch = _easy_batches(1, seed=5)[0]
     rec = eng.process_batch(batch)
-    assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, batch.x, cfg.score), rel=1e-12)
+    assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, batch.x, cfg.backend),
+                                            rel=1e-12)
     # later batches of a state are scored against all of its rows so far
     eng = OnlineEngine(d=2, cfg=OnlineConfig(episodes_per_batch=5, seed=3, xi_threshold=1.0))
     rng = np.random.default_rng(8)
@@ -193,8 +207,10 @@ def test_best_reward_is_negated_fit_score():
         rows.append(later.x)
         assert not rec.converged
         seen = np.concatenate(rows, axis=0)
-        assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, seen, cfg.score), rel=1e-9)
-        assert rec.best_reward != pytest.approx(-bic_score(rec.a_est, later.x, cfg.score), rel=1e-6)
+        assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, seen, cfg.backend),
+                                                rel=1e-9)
+        assert rec.best_reward != pytest.approx(-bic_score(rec.a_est, later.x, cfg.backend),
+                                                rel=1e-6)
     assert eng.state_scorer.n == 120
 
 
@@ -249,10 +265,9 @@ def test_fused_mode_with_full_specific_weight_matches_single_agent():
     # beta=1 and a zero specific decoupling weight reduce the dual loop to
     # the single-agent loop: identical sampling streams, identical rewards.
     batches = _easy_batches(4, seed=2)
-    score = ScoreConfig(penalty_lambda1=0.0)
-    dual = OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin", beta=1.0, score=score,
+    dual = OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin", beta=1.0, penalty_lambda1=0.0,
                                               episodes_per_batch=6, seed=11))
-    solo = OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-s", score=score,
+    solo = OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-s", penalty_lambda1=0.0,
                                               episodes_per_batch=6, seed=11))
     for batch in batches:
         r_dual = dual.process_batch(batch)
@@ -276,12 +291,14 @@ def test_transition_bookkeeping():
     assert np.allclose(eng.prev_summary[:, 1], state1.std(axis=0), atol=1e-9)
     assert np.array_equal(eng.prev_state_est, recs[1].a_est)
     # the state statistics restart with state 2: its records score its rows only
-    cfg = eng.cfg.score
+    backend = eng.cfg.backend
     assert not recs[3].converged
     assert eng.state_scorer.n == 80
-    assert recs[2].best_reward == pytest.approx(-bic_score(recs[2].a_est, xs2[0], cfg), rel=1e-9)
+    assert recs[2].best_reward == pytest.approx(-bic_score(recs[2].a_est, xs2[0], backend),
+                                                rel=1e-9)
     state2 = np.concatenate(xs2, axis=0)
-    assert recs[3].best_reward == pytest.approx(-bic_score(recs[3].a_est, state2, cfg), rel=1e-9)
+    assert recs[3].best_reward == pytest.approx(-bic_score(recs[3].a_est, state2, backend),
+                                                rel=1e-9)
     eng.on_state_transition(3)
     assert eng.state_scorer is None
 

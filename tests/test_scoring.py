@@ -18,7 +18,6 @@ from streamdag.scoring import (
     _CLIMB_TOL,
     BACKENDS,
     BatchScorer,
-    ScoreConfig,
     bic_score,
     decouple_invariant,
     decouple_specific,
@@ -43,7 +42,7 @@ def test_bic_empty_graph_is_sum_of_log_variances():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((200, 4))
     adj = np.zeros((4, 4), dtype=np.int8)
-    got = bic_score(adj, x, ScoreConfig())
+    got = bic_score(adj, x)
     want = sum(200 * math.log(np.var(x[:, j])) for j in range(4))
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -55,10 +54,10 @@ def test_bic_matches_lstsq_oracle_linear():
         adj = random_dag(d, 0.4, rng)
         x = _sample_linear(adj, 150, rng)
         probe = random_dag(d, 0.4, rng)
-        got = bic_score(probe, x, ScoreConfig(backend="linear"))
+        got = bic_score(probe, x, "linear")
         want = bic_lstsq_reference(probe, x, backend="linear")
         assert got == pytest.approx(want, rel=1e-8)
-        many = BatchScorer(x, ScoreConfig(backend="linear")).score_many(probe[None])
+        many = BatchScorer(x, "linear").score_many(probe[None])
         assert many[0] == pytest.approx(want, rel=1e-8)
 
 
@@ -69,10 +68,10 @@ def test_bic_matches_lstsq_oracle_quadratic():
         adj = random_dag(d, 0.4, rng)
         x = _sample_linear(adj, 200, rng)
         probe = random_dag(d, 0.4, rng)
-        got = bic_score(probe, x, ScoreConfig(backend="quadratic"))
+        got = bic_score(probe, x, "quadratic")
         want = bic_lstsq_reference(probe, x, backend="quadratic")
         assert got == pytest.approx(want, rel=1e-8)
-        many = BatchScorer(x, ScoreConfig(backend="quadratic")).score_many(probe[None])
+        many = BatchScorer(x, "quadratic").score_many(probe[None])
         assert many[0] == pytest.approx(want, rel=1e-8)
 
 
@@ -80,20 +79,18 @@ def test_bic_prefers_true_graph_over_empty():
     rng = np.random.default_rng(9)
     adj = random_dag(6, 0.5, rng)
     x = _sample_linear(adj, 500, rng)
-    cfg = ScoreConfig()
-    assert bic_score(adj, x, cfg) < bic_score(np.zeros_like(adj), x, cfg)
+    assert bic_score(adj, x) < bic_score(np.zeros_like(adj), x)
 
 
 def test_scorer_rejects_tiny_batches():
     x = np.zeros((4, 5))
     with pytest.raises(InsufficientDataError):
-        BatchScorer(x, ScoreConfig())
+        BatchScorer(x)
 
 
 def test_scorer_extends_its_base_with_a_batch():
     rng = np.random.default_rng(21)
     for backend in BACKENDS:
-        cfg = ScoreConfig(backend=backend)
         blocks = [rng.standard_normal((n, 4)) for n in (12, 3, 20)]
         probes = [random_dag(4, 0.5, rng) for _ in range(5)]
         scorer = None
@@ -101,35 +98,34 @@ def test_scorer_extends_its_base_with_a_batch():
             if scorer is not None:
                 for probe in probes:          # the base scores before it is extended
                     scorer.score(probe)
-            scorer = BatchScorer(block, cfg, base=scorer)
+            scorer = BatchScorer(block, backend, base=scorer)
         assert scorer.n == 35
-        whole = BatchScorer(np.concatenate(blocks), cfg)
+        whole = BatchScorer(np.concatenate(blocks), backend)
         for probe in probes:
             assert scorer.score(probe) == pytest.approx(whole.score(probe), rel=1e-9)
         # a scorer that has scored returns what a fresh one on the same rows computes
-        fresh = BatchScorer(np.concatenate(blocks), cfg)
+        fresh = BatchScorer(np.concatenate(blocks), backend)
         for probe in probes:
             assert whole.score(probe) == fresh.score(probe)
             for j in range(4):
                 parents = np.flatnonzero(probe[:, j])
                 assert whole.node_rss(j, parents) == BatchScorer(
-                    np.concatenate(blocks), cfg).node_rss(j, parents)
+                    np.concatenate(blocks), backend).node_rss(j, parents)
     # a short batch counts the base's rows towards the minimum
-    BatchScorer(rng.standard_normal((2, 4)), ScoreConfig(), base=BatchScorer(
-        rng.standard_normal((6, 4)), ScoreConfig()))
+    BatchScorer(rng.standard_normal((2, 4)), base=BatchScorer(
+        rng.standard_normal((6, 4))))
     with pytest.raises(DimensionMismatchError):
-        BatchScorer(rng.standard_normal((10, 3)), ScoreConfig(), base=scorer)
+        BatchScorer(rng.standard_normal((10, 3)), base=scorer)
 
 
 def test_column_moments_cover_every_row_of_the_extended_scorers():
     rng = np.random.default_rng(23)
     for backend in BACKENDS:
-        cfg = ScoreConfig(backend=backend)
         blocks = [np.array([1.0, 1e-3, 1e3, 1.0]) * rng.standard_normal((n, 4))
                   + np.array([0.0, 5.0, -7e3, 1e6]) for n in (12, 3, 20)]
         scorer = None
         for block in blocks:
-            scorer = BatchScorer(block, cfg, base=scorer)
+            scorer = BatchScorer(block, backend, base=scorer)
         rows = np.concatenate(blocks)
         moments = scorer.column_moments()
         assert moments.shape == (4, 2)
@@ -144,12 +140,12 @@ def test_score_many_matches_score():
     d = 5
     full = np.triu(np.ones((d, d), dtype=np.int8), 1)[np.ix_(*[rng.permutation(d)] * 2)]
     for backend in BACKENDS:
-        cfg = ScoreConfig(backend=backend)
         x = _sample_linear(random_dag(d, 0.5, rng), 60, rng)
         probes = [random_dag(d, 0.5, rng) for _ in range(6)]
         stack = np.stack(probes + [np.zeros((d, d), dtype=np.int8), full] + probes[:3])
-        base = BatchScorer(x[:40], cfg)
-        for make in (lambda: BatchScorer(x, cfg), lambda: BatchScorer(x[40:], cfg, base=base)):
+        base = BatchScorer(x[:40], backend)
+        for make in (lambda: BatchScorer(x, backend),
+                     lambda: BatchScorer(x[40:], backend, base=base)):
             scorer = make()
             want = [scorer.score(a) for a in stack]
             many = scorer.score_many(stack)
@@ -171,7 +167,7 @@ def _ordering_case(seed, d=8, n=300):
 def test_ordering_search_dag_follows_its_ordering():
     for seed in range(5):
         rng, _, x = _ordering_case(seed)
-        scorer = BatchScorer(x, ScoreConfig())
+        scorer = BatchScorer(x)
         order, dag = scorer.ordering_search([rng.permutation(8) for _ in range(2)])
         assert sorted(order) == list(range(8))
         position = np.argsort(order)
@@ -198,7 +194,7 @@ def test_move_terms_equal_a_cold_selection_of_every_move():
             x[:, 1] = x[:, 0]
             x[:, 2] = x[:, 0] + x[:, 1]
         orders = np.array([rng.permutation(d) for _ in range(3)])
-        moved, passed = BatchScorer(x, ScoreConfig())._move_terms(orders)
+        moved, passed = BatchScorer(x)._move_terms(orders)
         nodes, masks = [], []
         for order in orders.tolist():
             for i, node in enumerate(order):
@@ -207,7 +203,7 @@ def test_move_terms_equal_a_cold_selection_of_every_move():
                 masks += [_mask(others[:j]) for j in range(d)]
                 nodes += others                       # node i toggled in their predecessors
                 masks += [_mask(order[:order.index(v)]) ^ (1 << node) for v in others]
-        want, _ = BatchScorer(x, ScoreConfig())._lookup(np.array(nodes), np.array(masks))
+        want, _ = BatchScorer(x)._lookup(np.array(nodes), np.array(masks))
         got = np.concatenate([moved, passed], axis=2).ravel()
         assert got.tolist() == want.tolist()
 
@@ -216,7 +212,7 @@ def test_ordering_search_stops_where_no_insertion_move_improves():
     for seed in range(60):
         rng, _, x = _ordering_case(90 + seed, d=3 + seed % 6)
         d = x.shape[1]
-        scorer = BatchScorer(x, ScoreConfig())
+        scorer = BatchScorer(x)
         order, _ = scorer.ordering_search([rng.permutation(d) for _ in range(2)])
 
         def total(order):
@@ -235,7 +231,7 @@ def test_a_second_search_on_the_scorer_selects_nothing(monkeypatch):
     """The search's selections live on the scorer: a second search from the
     same starts finds every selection in the scorer's memo."""
     rng, _, x = _ordering_case(60)
-    scorer = BatchScorer(x, ScoreConfig())
+    scorer = BatchScorer(x)
     starts = [rng.permutation(8) for _ in range(3)]
     order, dag = scorer.ordering_search(starts)
     calls = []
@@ -249,15 +245,15 @@ def test_a_second_search_on_the_scorer_selects_nothing(monkeypatch):
 def test_scorer_rejects_statistics_that_overflow():
     rng = np.random.default_rng(61)
     x = 1e100 * rng.standard_normal((30, 3))
-    assert np.isfinite(BatchScorer(x, ScoreConfig()).score(np.zeros((3, 3))))
+    assert np.isfinite(BatchScorer(x).score(np.zeros((3, 3))))
     with pytest.raises(DataRangeError):
-        BatchScorer(x, ScoreConfig(backend="quadratic"))      # fourth powers overflow
+        BatchScorer(x, "quadratic")      # fourth powers overflow
     # rows of +-2e153 about a zero mean: one batch's sums of squares are 1.2e308,
     # and extending it with the same rows doubles them past the float64 range
     x = 2e153 * np.where(np.arange(30) % 2, 1.0, -1.0)[:, None] * np.ones(3)
-    base = BatchScorer(x, ScoreConfig())
+    base = BatchScorer(x)
     with pytest.raises(DataRangeError):
-        BatchScorer(x, ScoreConfig(), base=base)
+        BatchScorer(x, base=base)
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf], ids=["nan", "inf"])
@@ -266,9 +262,9 @@ def test_scorer_rejects_non_finite_rows(cell):
     x = np.random.default_rng(63).standard_normal((20, 3))
     x[7, 1] = cell
     with pytest.raises(DataRangeError, match="non-finite"):
-        bic_score(np.zeros((3, 3), dtype=np.int8), x, ScoreConfig())
+        bic_score(np.zeros((3, 3), dtype=np.int8), x)
     with pytest.raises(DataRangeError, match="non-finite"):
-        BatchScorer(x, ScoreConfig(), base=BatchScorer(x[:7], ScoreConfig()))
+        BatchScorer(x, base=BatchScorer(x[:7]))
 
 
 def test_collinear_parents_below_the_ridge_still_solve():
@@ -280,14 +276,14 @@ def test_collinear_parents_below_the_ridge_still_solve():
     first[:, 2:] = 0.0
     second = rng.standard_normal((4, 4))
     second[:, 2], second[:, 3] = 3345.0, 125001.0
-    scorer = BatchScorer(second, ScoreConfig(), base=BatchScorer(first, ScoreConfig()))
+    scorer = BatchScorer(second, base=BatchScorer(first))
     both = scorer.node_rss(0, np.array([2, 3]))
     assert both == pytest.approx(scorer.node_rss(0, np.array([2])), rel=1e-6)
 
 
 def test_ordering_search_from_the_true_ordering_keeps_the_truth():
     rng, adj, x = _ordering_case(40, d=6, n=5000)
-    scorer = BatchScorer(x, ScoreConfig())
+    scorer = BatchScorer(x)
     _, dag = scorer.ordering_search([topological_order(adj)])
     assert np.array_equal(dag | dag.T, adj | adj.T)
     assert scorer.score(dag) == pytest.approx(scorer.score(adj), rel=1e-9)
@@ -300,8 +296,8 @@ def test_ordering_search_ignores_column_scales():
         rng, _, x = _ordering_case(50 + seed)
         scale = np.exp(rng.uniform(-4.0, 4.0, size=8))
         starts = [rng.permutation(8) for _ in range(3)]
-        order, dag = BatchScorer(x, ScoreConfig()).ordering_search(starts)
-        order_scaled, dag_scaled = BatchScorer(x * scale, ScoreConfig()).ordering_search(starts)
+        order, dag = BatchScorer(x).ordering_search(starts)
+        order_scaled, dag_scaled = BatchScorer(x * scale).ordering_search(starts)
         assert order_scaled == order
         assert np.array_equal(dag_scaled, dag)
 
@@ -311,7 +307,7 @@ def test_ordering_search_survives_an_exact_linear_dependence():
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((30, 4))
         x[:, 3] = x[:, 0] + x[:, 1]
-        scorer = BatchScorer(x, ScoreConfig())
+        scorer = BatchScorer(x)
         with np.errstate(invalid="raise", divide="raise"):
             order, dag = scorer.ordering_search([rng.permutation(4) for _ in range(3)])
         assert sorted(order) == [0, 1, 2, 3]
@@ -325,19 +321,19 @@ def test_ordering_search_ends_on_columns_far_from_zero():
     with a finite score and no invalid value."""
     rng, _, x = _ordering_case(70, d=4, n=100)
     starts = [rng.permutation(4) for _ in range(3)]
-    base = BatchScorer(x, ScoreConfig())
+    base = BatchScorer(x)
     order, dag = base.ordering_search(starts)
     for offset in (1e6, 1e8):
-        scorer = BatchScorer(x + offset, ScoreConfig())
+        scorer = BatchScorer(x + offset)
         assert scorer.ordering_search(starts)[0] == order
         assert np.array_equal(scorer.ordering_search(starts)[1], dag)
         assert scorer.score(dag) == pytest.approx(base.score(dag), rel=1e-6)
         # a batch of the same state extends the statistics about the same origin
-        grown = BatchScorer(x[:10] + offset, ScoreConfig(), base=scorer)
-        whole = BatchScorer(np.concatenate([x, x[:10]]), ScoreConfig())
+        grown = BatchScorer(x[:10] + offset, base=scorer)
+        whole = BatchScorer(np.concatenate([x, x[:10]]))
         assert grown.score(dag) == pytest.approx(whole.score(dag), rel=1e-6)
     for offset in (1e6, 1e8, 1e12):
-        scorer = BatchScorer(x + offset, ScoreConfig())
+        scorer = BatchScorer(x + offset)
         with np.errstate(invalid="raise", divide="raise"):
             order, dag = scorer.ordering_search(starts)
         assert sorted(order) == [0, 1, 2, 3]
@@ -347,12 +343,12 @@ def test_ordering_search_ends_on_columns_far_from_zero():
 def test_ordering_search_never_picks_a_constant_parent():
     rng, _, x = _ordering_case(60)
     x[:, 3] = 2.5
-    order, dag = BatchScorer(x, ScoreConfig()).ordering_search([rng.permutation(8)])
+    order, dag = BatchScorer(x).ordering_search([rng.permutation(8)])
     assert not dag[3].any() and not dag[:, 3].any()
     with pytest.raises(ConfigError):
-        BatchScorer(x, ScoreConfig()).ordering_search([])
+        BatchScorer(x).ordering_search([])
     with pytest.raises(DimensionMismatchError):
-        BatchScorer(x, ScoreConfig()).ordering_search([[0, 1, 2]])
+        BatchScorer(x).ordering_search([[0, 1, 2]])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -360,7 +356,7 @@ def test_ordering_search_never_picks_a_constant_parent():
 def test_exact_optimum_is_the_best_of_every_dag(d, backend):
     rng = np.random.default_rng(d)
     x = _sample_linear(random_dag(d, 0.6, rng), 40, rng)
-    scorer = BatchScorer(x, ScoreConfig(backend=backend))
+    scorer = BatchScorer(x, backend)
     optimum, dag = exact_optimum(scorer)
     # the oracle sums each node's term with its edges, _bic the terms first
     assert optimum == pytest.approx(scorer.score_many(np.stack(enumerate_dags(d))).min(),
@@ -386,8 +382,10 @@ def test_no_search_or_engine_dag_scores_below_the_exact_optimum(d, seed):
 
 
 def test_config_rejects_unknown_backend():
-    with pytest.raises(ConfigError):
-        ScoreConfig(backend="cubic")
+    with pytest.raises(ConfigError, match="backend must be one of"):
+        OnlineConfig(backend="cubic")
+    with pytest.raises(ConfigError, match="backend must be one of"):
+        BatchScorer(np.zeros((6, 3)), "cubic")
 
 
 def test_decouple_zero_at_targets():
@@ -428,8 +426,7 @@ def test_decouple_unit_cases_d2():
 
 
 def test_reward_combines_bic_and_decouple():
-    cfg = ScoreConfig(penalty_lambda1=0.1, penalty_lambda2=0.2)
-    r1 = reward("specific", bic=10.0, decouple=3.0, cfg=cfg)
+    r1 = reward(bic=10.0, decouple=3.0, lam=0.1)
     assert r1 == pytest.approx(-10.0 + 0.1 * 3.0)
-    r2 = reward("invariant", bic=10.0, decouple=3.0, cfg=cfg)
+    r2 = reward(bic=10.0, decouple=3.0, lam=0.2)
     assert r2 == pytest.approx(-10.0 + 0.2 * 3.0)

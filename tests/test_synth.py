@@ -43,6 +43,8 @@ def test_config_validation():
             SynthConfig(d=4, e=value)
         with pytest.raises(ConfigError, match="noise_scale must be finite"):
             SynthConfig(d=4, noise_scale=value)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        SynthConfig(d=4, seed=-1)
 
 
 def test_states_form_subset_chain_without_noise():
