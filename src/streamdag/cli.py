@@ -6,8 +6,10 @@ Subcommands:
   eval   score a results file against ground truth, per state and averaged
   rca    rank root-cause candidates for a fault window of one state
 
-Every flag can also be supplied through a JSON object passed via --config;
-explicit command-line flags take precedence over config-file values.
+Every flag can also be supplied through a JSON object passed via --config,
+each value of its flag's type (for an untyped flag, the text it would take
+on the command line); explicit command-line flags take precedence over
+config-file values.
 Exit codes: 0 success, 1 invalid input or configuration, 2 runtime failure.
 """
 
@@ -28,7 +30,6 @@ from .io import (
     read_results,
     read_stream,
     read_truth,
-    write_csv_stream,
     write_results,
     write_stream,
     write_truth,
@@ -37,10 +38,6 @@ from .metrics import METRIC_COLUMNS, final_records_per_state, ranking_metrics, s
 from .rca import RwrConfig, fault_window_scores, rank_root_causes
 from .scoring import BACKENDS
 from .synth import MECHANISMS, SynthConfig, generate
-
-# Untyped flags take a str; these also take the list their parser accepts.
-_LIST_FLAGS = ("rows", "k", "roots")
-
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     parser = argparse.ArgumentParser(prog="streamdag", description=__doc__.splitlines()[0])
@@ -72,9 +69,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--batch-size", typ=int, default=SynthConfig.batch_size)
     flag(p, "--seed", typ=int, default=SynthConfig.seed)
     flag(p, "--noise-scale", typ=float, default=SynthConfig.noise_scale)
-    flag(p, "--out", default="stream.jsonl", helptext="stream output path, or - for stdout")
+    flag(p, "--out", default="stream.jsonl",
+         helptext="stream output path (CSV + sidecar if it ends in .csv), or - for stdout")
     flag(p, "--truth", default="truth.json", helptext="ground-truth output path")
-    flag(p, "--csv", typ=bool, default=False, helptext="write CSV + sidecar instead of JSONL")
 
     p = command("run", "learn graphs online from a stream")
     flag(p, "--stream", default="-", helptext="stream path, or - for stdin")
@@ -134,9 +131,8 @@ def _merge_config(args: argparse.Namespace, flags: dict) -> dict:
         for key, value in doc.items():     # argparse's type and choices never saw these
             _, typ, choices = flags[key]
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            text = isinstance(value, str) or (key in _LIST_FLAGS and isinstance(value, list))
             fits = {bool: isinstance(value, bool), int: number and isinstance(value, int),
-                    float: number, None: text}[typ]
+                    float: number, None: isinstance(value, str)}[typ]
             if not fits or (choices is not None and value not in choices):
                 raise ConfigError(f"config key {key!r} does not fit its flag: {value!r}")
         overrides = doc
@@ -163,15 +159,7 @@ def _cmd_synth(opts: dict) -> int:
                       noise_scale=opts["noise_scale"])
     batches, truth = generate(cfg)
     out = opts["out"]
-    if opts["csv"]:
-        if out == "-":
-            raise ConfigError("--csv needs a file path for the sidecar, not -")
-        if not str(out).endswith(".csv"):
-            out = str(Path(out).with_suffix(".csv"))
-        count = write_csv_stream(batches, out)
-    else:
-        sink = sys.stdout if out == "-" else out
-        count = write_stream(batches, sink)
+    count = write_stream(batches, sys.stdout if out == "-" else out)
     write_truth(truth, opts["truth"])
     print(f"wrote {count} batches to {out}; truth to {opts['truth']}", file=sys.stderr)
     return 0
@@ -228,21 +216,20 @@ def _cmd_eval(opts: dict) -> int:
     return 0
 
 
-def _parse_int_list(text, flagname: str) -> list[int]:
-    parts = text if isinstance(text, list) else str(text).split(",")
+def _parse_int_list(text: str, flagname: str) -> list[int]:
     try:
-        return [int(part) for part in parts if part != ""]
-    except (TypeError, ValueError):
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
         raise ConfigError(f"--{flagname} expects comma-separated integers, got {text!r}") from None
 
 
-def _parse_rows(value) -> tuple[int, int]:
-    parts = value if isinstance(value, list) else str(value).split(":")
+def _parse_rows(value: str) -> tuple[int, int]:
+    parts = value.split(":")
     if len(parts) != 2:
         raise ConfigError(f"--rows expects START:STOP, got {value!r}")
     try:
         return int(parts[0]), int(parts[1])
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"--rows expects integer bounds, got {value!r}") from None
 
 

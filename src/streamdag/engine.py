@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import Agent, fuse_actions
-from .errors import ConfigError, DataRangeError, DimensionMismatchError
+from .errors import ConfigError, DataRangeError, DimensionMismatchError, require_integers
 from .graphs import action_to_dag, graph_size, split_action
 from .io import EpisodeRecord
 from .scoring import (
@@ -81,6 +81,8 @@ class OnlineConfig:
     timing: bool = True           # False writes wall_ms = 0.0 for byte-stable output
 
     def __post_init__(self):
+        require_integers(episodes_per_batch=self.episodes_per_batch, workers=self.workers,
+                         seed=self.seed)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.workers < 1:
@@ -144,6 +146,7 @@ class OnlineEngine:
     """
 
     def __init__(self, d: int, cfg: OnlineConfig):
+        require_integers(d=d)
         if not 2 <= d <= MAX_SEARCH_NODES:
             raise ConfigError(f"need 2 to {MAX_SEARCH_NODES} variables, got d={d}")
         self.d = d
@@ -172,7 +175,7 @@ class OnlineEngine:
 
     # -- state handling ---------------------------------------------------------
 
-    def on_state_transition(self, t_new: int) -> "OnlineEngine":
+    def on_state_transition(self, t_new: int):
         """Roll summaries, snapshot the finished state's estimate, reset the specific agent."""
         self.prev_state_est = self._last.a_est
         if self.state_scorer is not None:
@@ -181,7 +184,6 @@ class OnlineEngine:
         self.spec.reinit()
         self.converged = False
         self.t = t_new
-        return self
 
     # -- main loop ----------------------------------------------------------------
 

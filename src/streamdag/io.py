@@ -4,13 +4,14 @@ Streams are JSON Lines, one batch per line:
 
     {"t": 1, "l": 1, "transition": true, "x": [[...], ...]}
 
-or alternatively a plain CSV of rows plus a sidecar JSON list of entries,
-each giving a batch's (t, l, transition) and its CSV rows [start, stop),
-checked as strictly as JSONL.  Both readers yield each batch with its place
-in the file, and one check (_in_order) rejects, in either format, a column
-count that drifts or a (t, l) that does not increase.  Results are JSON
-Lines of per-batch estimates (EpisodeRecord), flushed per line so
-downstream consumers can follow a run in progress.
+or, at a path ending in .csv, a plain CSV of rows plus a sidecar JSON list
+of entries, each giving a batch's (t, l, transition) and its CSV rows
+[start, stop), checked as strictly as JSONL.  The path's suffix picks the
+format for writing as for reading (_is_csv).  Both readers yield each batch
+with its place in the file, and one check (_in_order) rejects, in either
+format, a column count that drifts or a (t, l) that does not increase.
+Results are JSON Lines of per-batch estimates (EpisodeRecord), flushed per
+line so downstream consumers can follow a run in progress.
 
 Each document's fields are declared once, in one table per document
 (_ENTRY_FIELDS, _SIDECAR_FIELDS, _RECORD_FIELDS, _TRUTH_FIELDS) of field
@@ -31,7 +32,7 @@ import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -236,9 +237,14 @@ def _in_order(located):
         yield batch
 
 
+def _is_csv(target) -> bool:
+    """True iff target is a path ending in .csv: the one rule that picks a stream's format."""
+    return isinstance(target, (str, PurePath)) and PurePath(target).suffix == ".csv"
+
+
 def read_stream(source, sidecar=None):
     """Lazily yield validated StreamBatch values from JSONL, CSV, or a file object."""
-    if not hasattr(source, "read") and Path(source).suffix == ".csv":
+    if _is_csv(source):
         side = Path(source).with_suffix(".meta.json") if sidecar is None else Path(sidecar)
         located = _iter_csv(Path(source), side)
     else:
@@ -247,15 +253,13 @@ def read_stream(source, sidecar=None):
 
 
 def write_stream(batches, path) -> int:
-    """Write batches as JSON Lines; returns the number written."""
-    return _write_json_lines(({**_json_form(batch, _ENTRY_FIELDS),
-                               "x": np.asarray(batch.x, dtype=float).tolist()}
-                              for batch in batches), path)
-
-
-def write_csv_stream(batches, path) -> int:
-    """CSV + sidecar alternative to write_stream; the sidecar is the CSV path
-    with suffix .meta.json, where read_stream looks by default."""
+    """Write batches as JSON Lines, or to a .csv path as CSV rows plus the
+    sidecar <name>.meta.json, where read_stream looks by default; returns
+    the number written."""
+    if not _is_csv(path):
+        return _write_json_lines(({**_json_form(batch, _ENTRY_FIELDS),
+                                   "x": np.asarray(batch.x, dtype=float).tolist()}
+                                  for batch in batches), path)
     path = Path(path)
     meta = []
     with path.open("w") as fh:

@@ -9,8 +9,8 @@ records one local derivative per parent, and `Tensor.backward` routes them.
 A ParamStore keeps its parameters as views into one contiguous buffer, with
 buffers of the same layout for their gradients and Adam's two moments.
 Backward writes a parameter's gradient straight into its view of the
-gradient buffer, and Adam runs its elementwise update over each contiguous
-run of parameters that have a gradient, block by block, not array by array.
+gradient buffer, and Adam runs its elementwise update over the whole packed
+buffer, block by block, not array by array.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-# Adam walks a run of parameters in blocks of this many values, so that its
+# Adam walks the packed buffer in blocks of this many values, so that its
 # scratch is two blocks, not two copies of the store.
 _ADAM_BLOCK = 32768
 
@@ -281,55 +281,44 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def _grad_runs(self) -> list[tuple[int, int]]:
-        """[start, stop) of each maximal run of adjacent parameters that have a gradient."""
-        runs: list[tuple[int, int]] = []
-        stop = 0
-        for t in self.params.values():
-            start, stop = stop, stop + t.data.size
-            if t.grad is None:
-                continue
-            if runs and runs[-1][1] == start:
-                start = runs.pop()[0]
-            runs.append((start, stop))
-        return runs
-
 
 def adam_step(store: ParamStore, lr: float):
-    """One bias-corrected Adam update over every parameter with a gradient.
+    """One bias-corrected Adam update over every parameter of the store.
 
-    The store must be packed, and its gradients come from backward, which
-    writes each parameter's gradient into its view of `store.grad`.  The
-    update runs over the flat buffers, one block of each run of parameters
-    with a gradient at a time, and writes its temporaries into the store's
-    scratch.  Its operations and their order are those of the textbook
-    per-array update, so the result is the same to the bit.
+    The store must be packed, and every parameter must have a gradient from
+    backward, which writes it into the parameter's view of `store.grad`; a
+    parameter without one raises before anything changes.  The update runs
+    over the flat buffers one block at a time and writes its temporaries
+    into the store's scratch.  Its operations and their order are those of
+    the textbook per-array update, so the result is the same to the bit.
     """
     if store.data is None:
         raise ConfigError("adam_step needs a packed ParamStore")
+    missing = [name for name, t in store.params.items() if t.grad is None]
+    if missing:
+        raise ConfigError(f"adam_step: no gradient for parameters {missing}")
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - _ADAM_BETA1 ** t
     c2 = 1.0 - _ADAM_BETA2 ** t
-    for run_start, run_stop in store._grad_runs():
-        for lo in range(run_start, run_stop, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, run_stop)
-            p, g, m, v = (buf[lo:hi] for buf in (store.data, store.grad, store.m, store.v))
-            num, den = store._scratch[:, : hi - lo]
-            m *= _ADAM_BETA1
-            np.multiply(g, 1.0 - _ADAM_BETA1, out=num)
-            m += num
-            v *= _ADAM_BETA2
-            np.multiply(g, g, out=num)
-            num *= 1.0 - _ADAM_BETA2
-            v += num
-            np.divide(m, c1, out=num)
-            num *= lr
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += _ADAM_EPS
-            num /= den
-            p -= num
+    for lo in range(0, store.data.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, store.data.size)
+        p, g, m, v = (buf[lo:hi] for buf in (store.data, store.grad, store.m, store.v))
+        num, den = store._scratch[:, : hi - lo]
+        m *= _ADAM_BETA1
+        np.multiply(g, 1.0 - _ADAM_BETA1, out=num)
+        m += num
+        v *= _ADAM_BETA2
+        np.multiply(g, g, out=num)
+        num *= 1.0 - _ADAM_BETA2
+        v += num
+        np.divide(m, c1, out=num)
+        num *= lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += _ADAM_EPS
+        num /= den
+        p -= num
 
 
 # ---------------------------------------------------------------------------

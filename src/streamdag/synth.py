@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, require_integers
 from .graphs import is_acyclic, random_dag, topological_order
 from .io import StreamBatch
 
@@ -41,6 +41,8 @@ class SynthConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
+        require_integers(d=self.d, m=self.m, n_per_state=self.n_per_state,
+                         batch_size=self.batch_size, seed=self.seed)
         if self.d < 2:
             raise ConfigError(f"need at least 2 nodes, got d={self.d}")
         if self.m < 2:

@@ -81,13 +81,6 @@ def test_synth_stdout_pipes_into_run(tmp_path, capsys, monkeypatch):
     assert len(read_results(tmp_path / "r.jsonl")) == 4
 
 
-def test_synth_csv_rejects_stdout(tmp_path, capsys):
-    assert main(["synth", "--d=3", "--n-per-state=40", "--batch-size=20",
-                 "--csv", "--out", "-",
-                 "--truth", str(tmp_path / "t.json")]) == 1
-    assert "sidecar" in capsys.readouterr().err
-
-
 def test_run_then_eval_pipeline(tmp_path, capsys):
     assert main(_synth_args(tmp_path)) == 0
     assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "6",
@@ -199,7 +192,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     ("synth", {"d": "4"}),
     ("synth", {"m": "2"}),
     ("synth", {"seed": 1.5}),
-    ("synth", {"csv": 1}),
+    ("synth", {"batch_size": True}),
     ("run", {"episodes": "2"}),
     ("run", {"workers": 2.0, "mode": "marlin-m"}),
     ("run", {"beta": True}),
@@ -397,8 +390,8 @@ def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):
     synth = ["synth", "--d=4", "--m=2", "--n-per-state=60", "--batch-size=30", "--seed=3"]
     assert main([*synth, "--out", str(tmp_path / "j.jsonl"),
                  "--truth", str(tmp_path / "tj.json")]) == 0
-    # --csv appends .csv to an out path without it, and writes the sidecar beside it
-    assert main([*synth, "--csv", "--out", str(tmp_path / "s"),
+    # an out path ending in .csv gets CSV rows and the sidecar beside it
+    assert main([*synth, "--out", str(tmp_path / "s.csv"),
                  "--truth", str(tmp_path / "tc.json")]) == 0
     assert (tmp_path / "s.csv").exists() and (tmp_path / "s.meta.json").exists()
     assert (tmp_path / "tc.json").read_bytes() == (tmp_path / "tj.json").read_bytes()
@@ -415,6 +408,29 @@ def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):
     (tmp_path / "s.meta.json").write_text("[]")
     assert main([*run, "--stream", str(tmp_path / "s.csv")]) == 1
     assert "sidecar must be a non-empty list" in capsys.readouterr().err
+
+
+def test_csv_flag_and_config_key_are_gone(tmp_path, capsys):
+    """The out path's suffix picks the stream format; no flag or key does."""
+    synth = ["synth", "--d=3", "--n-per-state=40", "--batch-size=20",
+             "--out", str(tmp_path / "s.csv"), "--truth", str(tmp_path / "t.json")]
+    assert main([*synth, "--csv"]) == 1
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"csv": True}))
+    assert main([*synth, "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['csv']" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("k", [1, 3]), ("roots", [0])])
+def test_config_list_for_a_text_flag_exits_1(tmp_path, capsys, key, value):
+    """A config value for --k or --roots is the flag's own text, never a list."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["rca", "--results", "r", "--stream", "s", "--state", "1",
+                 "--config", str(cfg)]) == 1
+    assert f"config key {key!r} does not fit its flag" in capsys.readouterr().err
 
 
 def test_too_little_data_exits_1(tmp_path, capsys):
@@ -497,4 +513,4 @@ def test_rca_bad_rows_format(tmp_path, capsys):
     cfg.write_text(json.dumps({"rows": ["a", "b"]}))
     assert main(["rca", "--results", "r", "--stream", "s", "--state", "1",
                  "--config", str(cfg)]) == 1
-    assert "integer bounds" in capsys.readouterr().err
+    assert "does not fit its flag" in capsys.readouterr().err

@@ -88,6 +88,12 @@ def test_config_validation():
             with pytest.raises(ConfigError, match=f"{name} must be finite and nonnegative"):
                 OnlineConfig(**{name: value})
     OnlineConfig(mode="marlin-m", workers=1)    # single worker is allowed
+    for name in ("episodes_per_batch", "workers", "seed"):
+        for value in (2.5, 2.0, float("nan"), True, "2"):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+                OnlineConfig(mode="marlin-m", **{name: value})
+    OnlineConfig(mode="marlin-m", episodes_per_batch=np.int64(4), workers=np.int32(2),
+                 seed=np.uint8(3))
 
 
 def test_config_takes_the_scorer_backend_and_the_decoupling_weights():
@@ -100,6 +106,10 @@ def test_config_takes_the_scorer_backend_and_the_decoupling_weights():
 def test_engine_rejects_bad_dimensions():
     with pytest.raises(ConfigError):
         OnlineEngine(d=1, cfg=OnlineConfig())
+    for d in (4.0, 4.5, True):
+        with pytest.raises(ConfigError, match=f"d must be an integer, got {d!r}"):
+            OnlineEngine(d=d, cfg=OnlineConfig())
+    assert OnlineEngine(d=np.int64(3), cfg=OnlineConfig()).d == 3
     with pytest.raises(ConfigError, match="exceeds action length 6"):
         OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-m", workers=7))
 

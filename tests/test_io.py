@@ -4,6 +4,7 @@ import io
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from streamdag.io import (
     read_stream,
     read_truth,
     record_to_dict,
-    write_csv_stream,
     write_results,
     write_stream,
     write_truth,
@@ -70,12 +70,13 @@ def test_jsonl_roundtrip_on_generated_stream(tmp_path):
 
 
 def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "s.csv"
+    """write_stream picks CSV from a .csv path, given as a Path or a str."""
     batches = _batches()
-    write_csv_stream(batches, path)
-    assert (tmp_path / "s.meta.json").exists()   # default sidecar location
-    back = list(read_stream(path))
-    assert all(_same(a, b) for a, b in zip(batches, back))
+    for path in (tmp_path / "s.csv", f"{tmp_path}/t.csv"):
+        assert write_stream(batches, path) == len(batches)
+        assert Path(path).with_suffix(".meta.json").exists()   # default sidecar location
+        back = list(read_stream(path))
+        assert len(back) == len(batches) and all(_same(a, b) for a, b in zip(batches, back))
 
 
 def test_csv_missing_sidecar(tmp_path):
@@ -306,7 +307,7 @@ def test_csv_stream_bytes(tmp_path):
     x = np.array([[1.5, -2.0], [0.1, 3.0]])
     batches = [StreamBatch(t=1, l=2, transition=True, x=x),
                StreamBatch(t=np.int64(2), l=np.int64(1), transition=np.bool_(False), x=x[:1])]
-    assert write_csv_stream(batches, tmp_path / "s.csv") == 2
+    assert write_stream(batches, tmp_path / "s.csv") == 2
     assert (tmp_path / "s.csv").read_text() == "1.5,-2.0\n0.1,3.0\n1.5,-2.0\n"
     assert (tmp_path / "s.meta.json").read_text() == (
         '[{"l": 2, "start": 0, "stop": 2, "t": 1, "transition": true}, '

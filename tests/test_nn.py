@@ -251,15 +251,21 @@ def test_adam_needs_a_packed_store():
     assert store.step_count == 0
 
 
-def test_adam_skips_params_without_grad():
+def test_adam_rejects_params_without_grad():
+    """A parameter with no gradient raises, and leaves every buffer as it was."""
     store = ParamStore()
     p = store.add("p", np.array([1.0]))
     q = store.add("q", np.array([2.0]))
     store.pack()
+    (p + q).sum().backward()
+    adam_step(store, lr=0.1)                        # one full step, so the moments are not 0
+    store.zero_grad()
     p.sum().backward()
-    adam_step(store, lr=0.1)
-    assert p.data.tolist() == pytest.approx([0.9])
-    assert q.grad is None and q.data.tolist() == [2.0]
+    before = [buf.copy() for buf in (store.data, store.m, store.v)]
+    with pytest.raises(ConfigError, match=r"no gradient for parameters \['q'\]"):
+        adam_step(store, lr=0.1)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (store.data, store.m, store.v)))
+    assert store.step_count == 1
 
 
 def _per_array_adam(params, grads, m, v, step, lr):
@@ -276,26 +282,21 @@ def _per_array_adam(params, grads, m, v, step, lr):
 
 @pytest.mark.parametrize("block", [7, nn._ADAM_BLOCK])
 def test_packed_adam_matches_per_array_loop(monkeypatch, block):
-    """Bit-for-bit equal to the per-array loop; a parameter without a gradient stays put.
-
-    "frozen" sits between parameters with gradients, so the update covers
-    two runs; a block of 7 values also splits runs inside and across arrays.
-    """
+    """Bit-for-bit equal to the per-array loop; a block of 7 values splits
+    the buffer inside and across arrays."""
     monkeypatch.setattr(nn, "_ADAM_BLOCK", block)
-    shapes = {"stack.w": (3, 4, 5), "stack.b": (3, 1, 5), "frozen": (2, 7),
-              "w": (6, 2), "b": (1, 2)}
+    shapes = {"stack.w": (3, 4, 5), "stack.b": (3, 1, 5), "w": (6, 2), "b": (1, 2)}
     rng = np.random.default_rng(30)
     store = ParamStore()
     for name, shape in shapes.items():
         store.add(name, rng.standard_normal(shape))
     store.pack()
-    frozen = store.params["frozen"].data.copy()
     ref = {name: store.params[name].data.copy() for name in shapes}
     ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
     ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
     for step in range(1, 5):
         grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3)
-                 for name, shape in shapes.items() if name != "frozen"}
+                 for name, shape in shapes.items()}
         store.zero_grad()
         loss = sum((store.params[name] * Tensor(g)).sum() for name, g in grads.items())
         loss.backward()                          # each gradient is g itself
@@ -307,8 +308,6 @@ def test_packed_adam_matches_per_array_loop(monkeypatch, block):
             assert store.params[name].data.tobytes() == ref[name].tobytes()
         assert store.m.tobytes() == np.concatenate([a.ravel() for a in ref_m.values()]).tobytes()
         assert store.v.tobytes() == np.concatenate([a.ravel() for a in ref_v.values()]).tobytes()
-    assert store.params["frozen"].grad is None
-    assert store.params["frozen"].data.tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("packed", [False, True])

@@ -45,6 +45,13 @@ def test_config_validation():
             SynthConfig(d=4, noise_scale=value)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         SynthConfig(d=4, seed=-1)
+    for name in ("d", "m", "n_per_state", "batch_size", "seed"):
+        for value in (2.5, 2.0, float("nan"), True):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+                SynthConfig(**{"d": 4, name: value})
+    batches, _ = generate(SynthConfig(d=np.int64(3), m=np.int32(2), n_per_state=np.int64(40),
+                                      batch_size=np.int16(20), seed=np.uint32(1)))
+    assert len(batches) == 4 and batches[0].x.shape == (20, 3)
 
 
 def test_states_form_subset_chain_without_noise():
