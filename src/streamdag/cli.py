@@ -36,7 +36,6 @@ from .io import (
 )
 from .metrics import METRIC_COLUMNS, final_records_per_state, ranking_metrics, summarize_run
 from .rca import RwrConfig, fault_window_scores, rank_root_causes
-from .scoring import BACKENDS
 from .synth import MECHANISMS, SynthConfig, generate
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
@@ -92,8 +91,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     flag(p, "--episodes", typ=int, default=OnlineConfig.episodes_per_batch,
          helptext="training episodes per batch")
     flag(p, "--seed", typ=int, default=OnlineConfig.seed)
-    flag(p, "--score", choices=sorted(BACKENDS), default=OnlineConfig.backend,
-         helptext="regression family for the fit score")
     flag(p, "--lr", typ=float, default=OnlineConfig.lr)
     flag(p, "--no-timing", typ=bool, default=not OnlineConfig.timing,
          helptext="write wall_ms as 0.0 for byte-stable output")
@@ -168,7 +165,7 @@ def _cmd_synth(opts: dict) -> int:
 def _cmd_run(opts: dict) -> int:
     cfg = OnlineConfig(beta=opts["beta"], xi_threshold=opts["xi_threshold"],
                        episodes_per_batch=opts["episodes"], mode=opts["mode"],
-                       workers=opts["workers"], seed=opts["seed"], backend=opts["score"],
+                       workers=opts["workers"], seed=opts["seed"],
                        penalty_lambda1=opts["lambda1"], penalty_lambda2=opts["lambda2"],
                        lr=opts["lr"], gamma=opts["gamma"], timing=not opts["no_timing"])
     source = sys.stdin if opts["stream"] == "-" else opts["stream"]

@@ -43,7 +43,6 @@ from .errors import ConfigError, DataRangeError, DimensionMismatchError, require
 from .graphs import action_to_dag, graph_size, split_action
 from .io import EpisodeRecord
 from .scoring import (
-    BACKENDS,
     MAX_SEARCH_NODES,
     BatchScorer,
     decouple_invariant,
@@ -65,7 +64,7 @@ EPISODES_PER_UPDATE = 16
 
 @dataclass
 class OnlineConfig:
-    """Every setting of a run, the scorer's backend and the reward weights included."""
+    """Every setting of a run, the reward weights included."""
 
     beta: float = 0.5
     xi_threshold: float = 0.98
@@ -73,7 +72,6 @@ class OnlineConfig:
     mode: str = "marlin"
     workers: int = 1
     seed: int = 0
-    backend: str = "linear"       # the BatchScorer's regression family
     penalty_lambda1: float = 0.1  # decoupling weight of the specific agent's reward
     penalty_lambda2: float = 0.1  # ... and of the invariant agent's
     lr: float = 0.01
@@ -91,8 +89,6 @@ class OnlineConfig:
             raise ConfigError(f"mode {self.mode} runs a single worker")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         for name in ("penalty_lambda1", "penalty_lambda2"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -202,7 +198,7 @@ class OnlineEngine:
         if not np.isfinite(x).all():
             raise DataRangeError(f"batch {batch.t}/{batch.l} holds non-finite values")
         base = None if transition else self.state_scorer
-        scorer = (BatchScorer(x, self.cfg.backend, base=base)
+        scorer = (BatchScorer(x, base=base)
                   if transition or not self.converged else None)
         with np.errstate(over="ignore"):
             if not np.isfinite((x * x).sum(axis=0)).all():

@@ -7,13 +7,10 @@ The score of a graph A against the n x d rows X seen so far in a state is
 where RSS_i is the residual sum of squares of regressing column i on its
 parent columns (intercept-only when the parent set is empty).  Lower is
 better; reward negates it and adds an agent's decoupling term at the weight
-the engine passes in.  A scorer's one setting is its backend: the quadratic
-backend adds squares and pairwise products of the parents to the
-regressors, the linear one does not.  A BatchScorer holds the centred sums
-of squares and products of those rows, so it scores any DAG in O(d) small
-solves, and a batch's scorer extends the state's earlier one.  It rejects
-rows with a NaN or infinite cell, and rows whose statistics overflow
-float64.
+the engine passes in.  A BatchScorer holds the centred sums of squares
+and products of those rows, so it scores any DAG in O(d) small solves, and
+a batch's scorer extends the state's earlier one.  It rejects rows with a
+NaN or infinite cell, and rows whose statistics overflow float64.
 
 BatchScorer.ordering_search looks for a low-scoring DAG through node
 orderings (Teyssier & Koller, UAI 2005): given an ordering, each node takes
@@ -41,8 +38,6 @@ from .errors import (
 )
 from .graphs import complement, is_acyclic
 
-BACKENDS = ("linear", "quadratic")
-
 # Floor on RSS/n before the log so perfect fits stay finite.
 _RSS_FLOOR = 1e-300
 # A column whose residual variance falls below this share of its variance
@@ -61,23 +56,21 @@ MAX_SEARCH_NODES = 57
 class BatchScorer:
     """The one store of a state's statistics, so many DAGs score cheaply.
 
-    The features are X, and under the quadratic backend (which a ``base``
-    must share) also their squares and pairwise products.  Their Gram
-    matrix, with an intercept column, is accumulated about an origin, the
-    column means of the state's first batch, so columns whose means dwarf
-    their spread keep their precision.  Everything else reads the centred
-    matrix built from it (the scatter), in which the intercept is absorbed
-    exactly: per node _solve solves ridge-regularized normal equations on
-    the sub-block selected by its parent set, _select runs on its linear
-    block, and column_moments gives the columns' mean and std.  Passing
-    ``base`` (the scorer of the same state's earlier rows) adds its
-    statistics to this batch's, so the scorer then scores against every row
-    of the state seen so far.  score_many scores a stack of DAGs in one
-    call; ordering_search looks for a low-scoring DAG on the same
-    statistics, and keeps its selections in the scorer's one memo.
+    The Gram matrix of X, with an intercept column, is accumulated about
+    an origin, the column means of the state's first batch, so columns
+    whose means dwarf their spread keep their precision.  Everything else
+    reads the centred d x d covariance built from it, in which the
+    intercept is absorbed exactly: per node _solve solves ridge-regularized
+    normal equations on the sub-block selected by its parent set, _select
+    runs Cholesky updates on it, and column_moments gives the columns' mean
+    and std.  Passing ``base`` (the scorer of the same state's earlier
+    rows) adds its statistics to this batch's, so the scorer then scores
+    against every row of the state seen so far.  score_many scores a stack
+    of DAGs in one call; ordering_search looks for a low-scoring DAG on the
+    same statistics, and keeps its selections in the scorer's one memo.
     """
 
-    def __init__(self, x: np.ndarray, backend: str = "linear", base: "BatchScorer | None" = None):
+    def __init__(self, x: np.ndarray, *, base: "BatchScorer | None" = None):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-d, got shape {x.shape}")
@@ -86,43 +79,28 @@ class BatchScorer:
         n, d = x.shape
         if d > MAX_SEARCH_NODES:
             raise ConfigError(f"a scorer handles at most {MAX_SEARCH_NODES} nodes")
-        if backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if base is not None:
-            if base.d != d or base.backend != backend:
+            if base.d != d:
                 raise DimensionMismatchError(
-                    f"cannot extend a d={base.d} {base.backend} scorer with a "
-                    f"d={d} {backend} batch"
-                )
+                    f"cannot extend a d={base.d} scorer with a d={d} batch")
             n += base.n
         if n < d + 2:
             raise InsufficientDataError(f"need at least d+2={d + 2} rows, got {n}")
-        self.backend = backend
         self.n = n
         self.d = d
-        # feature column index: 0..d-1 linear, then squares, then pairs;
-        # _pair_col[i, j] (i < j) is the column of x_i * x_j
-        self._pair_col = np.zeros((d, d), dtype=np.int64)
         # statistics that overflow are rejected below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self._origin = x.mean(axis=0) if base is None else base._origin
             x = x - self._origin
-            cols = [np.ones((x.shape[0], 1)), x]
-            if backend == "quadratic":
-                cols.append(x * x)
-                i, j = np.triu_indices(d, 1)
-                self._pair_col[i, j] = 2 * d + np.arange(i.size)
-                cols.append(x[:, i] * x[:, j])
-            phi = np.concatenate(cols, axis=1)
-            self._gram = phi.T @ phi         # about the origin, [1 | features]
+            phi = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
+            self._gram = phi.T @ phi         # about the origin, [1 | X]
             if base is not None:
                 self._gram += base._gram
             colsum = self._gram[0, 1:]
-            # centred sums of squares and products of every feature
-            self._scatter = self._gram[1:, 1:] - np.outer(colsum, colsum) / n
-        if not np.isfinite(self._scatter).all():
+            # centred sums of squares and products of the columns
+            self._cov = self._gram[1:, 1:] - np.outer(colsum, colsum) / n
+        if not np.isfinite(self._cov).all():
             raise DataRangeError("the rows' sums of squares and products overflow float64")
-        self._cov = self._scatter[:d, :d]
         # The search's memo (see _lookup), never taken from base: the sorted
         # keys node + d * candidate bitmask, their terms and parent bitmasks.
         self._selections = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)]
@@ -130,8 +108,7 @@ class BatchScorer:
 
     def column_moments(self) -> np.ndarray:
         """Per-column (mean, std) of the rows so far, as a (d, 2) array."""
-        d = self.d
-        mean = self._origin + self._gram[0, 1:d + 1] / self.n
+        mean = self._origin + self._gram[0, 1:] / self.n
         std = np.sqrt(np.maximum(np.diag(self._cov), 0.0) / self.n)
         return np.stack([mean, std], axis=1)
 
@@ -151,21 +128,15 @@ class BatchScorer:
         for group in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
             q, p = group.size, count[group[0]]
             parents = np.nonzero(held[group])[1].reshape(q, p)
-            cols = [parents]
-            if self.backend == "quadratic":
-                i, j = np.triu_indices(p, 1)
-                cols += [d + parents, self._pair_col[parents[:, i], parents[:, j]]]
-            cols = np.concatenate(cols, axis=1)
-            f = cols.shape[1]
-            s_xx = self._scatter[cols[:, :, None], cols[:, None, :]]
-            s_xx.reshape(q, f * f)[:, ::f + 1] += _RIDGE_EPS      # the diagonals
-            s_xy = self._scatter[cols, nodes[group, None]]
+            s_xx = self._cov[parents[:, :, None], parents[:, None, :]]
+            s_xx.reshape(q, p * p)[:, ::p + 1] += _RIDGE_EPS      # the diagonals
+            s_xy = self._cov[parents, nodes[group, None]]
             try:
                 beta = np.linalg.solve(s_xx, s_xy[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:   # collinear parents, the ridge below rounding
                 beta = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(s_xx, s_xy)])
             # yty - 2 b.s + b.S.b with (S + eps I) b = s, so b.S.b = b.s - eps b.b
-            y_ty = self._scatter[nodes[group], nodes[group]]
+            y_ty = self._cov[nodes[group], nodes[group]]
             rss[group] = y_ty - (beta * (s_xy + _RIDGE_EPS * beta)).sum(axis=1)
         return np.maximum(rss, 0.0)
 
@@ -205,9 +176,9 @@ class BatchScorer:
         """Best node ordering found from ``starts``, and the DAG it selects.
 
         An ordering is scored by the sum over nodes of the BIC term of the
-        node's best parents among its predecessors (see _select; under the
-        quadratic backend that selection still reads the linear statistics,
-        so a caller compares the result with score()).  Each start is
+        node's best parents among its predecessors (see _select; that
+        selection is greedy and can miss a better parent set, so a caller
+        compares the result with score()).  Each start is
         hill-climbed with insertion moves: take one node out and put it back
         at another position.  Such a move changes the predecessor sets of the
         moved node and of the nodes it passes, and of no other, so moves over
@@ -352,12 +323,12 @@ class BatchScorer:
 
         Forward selection adds, one at a time, the candidate that cuts the
         node's residual sum of squares the most, while that lowers the node's
-        BIC term; returns the terms and the parent bitmasks.  It runs on the
-        linear part of the statistics, for all queries at once, by Cholesky
-        updates of the centered covariance.  A candidate whose residual
-        variance is below a relative tolerance of its own variance (a
-        constant column, or one the chosen parents already explain) is never
-        added, so the choice does not depend on the columns' scales.
+        BIC term; returns the terms and the parent bitmasks.  It runs for all
+        queries at once, by Cholesky updates of the centred covariance.  A
+        candidate whose residual variance is below a relative tolerance of
+        its own variance (a constant column, or one the chosen parents
+        already explain) is never added, so the choice does not depend on
+        the columns' scales.
         """
         d = self.d
         n = self.n
@@ -431,11 +402,11 @@ def _insertion_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, rest, slot
 
 
-def bic_score(adj: np.ndarray, x: np.ndarray, backend: str = "linear") -> float:
+def bic_score(adj: np.ndarray, x: np.ndarray) -> float:
     """One-off BIC of a DAG against a batch; see BatchScorer for the formula."""
     if not is_acyclic(adj):
         raise CyclicGraphError("bic_score requires an acyclic graph")
-    return BatchScorer(x, backend).score(adj)
+    return BatchScorer(x).score(adj)
 
 
 def _sq_fro(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:

@@ -70,27 +70,13 @@ def topo_sort_reference(adj: np.ndarray) -> list[int]:
     return order
 
 
-def quadratic_features_reference(x: np.ndarray, cols: list[int]) -> np.ndarray:
-    """[parents | squares | ordered pairwise products] for the given columns."""
-    blocks = [x[:, cols]]
-    blocks.append(x[:, cols] ** 2)
-    pairs = [x[:, a] * x[:, b] for a, b in itertools.combinations(cols, 2)]
-    if pairs:
-        blocks.append(np.stack(pairs, axis=1))
-    return np.concatenate(blocks, axis=1)
-
-
-def bic_lstsq_reference(adj: np.ndarray, x: np.ndarray, backend: str = "linear") -> float:
+def bic_lstsq_reference(adj: np.ndarray, x: np.ndarray) -> float:
     """BIC via per-node least squares, no caching, no ridge."""
     n, d = x.shape
     total = 0.0
     for j in range(d):
         parents = [int(i) for i in np.flatnonzero(adj[:, j])]
-        if backend == "linear":
-            feats = x[:, parents] if parents else np.zeros((n, 0))
-        else:
-            feats = quadratic_features_reference(x, parents) if parents else np.zeros((n, 0))
-        design = np.concatenate([np.ones((n, 1)), feats], axis=1)
+        design = np.concatenate([np.ones((n, 1)), x[:, parents]], axis=1)
         beta, _, _, _ = np.linalg.lstsq(design, x[:, j], rcond=None)
         resid = x[:, j] - design @ beta
         rss = float(resid @ resid)

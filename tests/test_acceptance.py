@@ -182,14 +182,13 @@ def test_criterion_03_decomposition():
 def test_criterion_04_bic_oracle():
     rng = np.random.default_rng(14)
     worst = 0.0
-    for k in range(20):
+    for _ in range(20):
         d = int(rng.integers(3, 7))
         n = int(rng.integers(40, 90))
         adj = random_dag(d, 0.4, rng)
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) * 0.7
-        backend = "linear" if k % 2 == 0 else "quadratic"
-        got = bic_score(adj, x, backend)
-        want = bic_lstsq_reference(adj, x, backend)
+        got = bic_score(adj, x)
+        want = bic_lstsq_reference(adj, x)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     ok = worst < 1e-8
     assert _verdict(4, "bic-oracle", ok, f"worst rel err {worst:.2e}")

@@ -269,10 +269,10 @@ def test_run_flags_reach_the_engine(tmp_path):
     gives what the engine writes with the matching OnlineConfig."""
     assert main(_synth_args(tmp_path)) == 0
     stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
-    assert main(["run", "--stream", str(stream), "--score", "quadratic", "--lambda1", "0.3",
+    assert main(["run", "--stream", str(stream), "--lambda1", "0.3",
                  "--lambda2", "0.05", "--beta", "0.7", "--gamma", "0.9", "--lr", "0.02",
                  "--xi-threshold", "0.9", "--no-timing", "--out", str(out)]) == 0
-    cfg = OnlineConfig(backend="quadratic", penalty_lambda1=0.3, penalty_lambda2=0.05,
+    cfg = OnlineConfig(penalty_lambda1=0.3, penalty_lambda2=0.05,
                        beta=0.7, gamma=0.9, lr=0.02, xi_threshold=0.9, timing=False)
     batches = list(read_stream(stream))
     write_results(OnlineEngine(4, cfg).run(batches), tmp_path / "want.jsonl")
@@ -421,6 +421,20 @@ def test_csv_flag_and_config_key_are_gone(tmp_path, capsys):
     assert main([*synth, "--config", str(cfg)]) == 1
     assert "unknown config keys: ['csv']" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_score_flag_and_config_key_are_gone(tmp_path, capsys):
+    """Linear BIC is the one score; no flag or key picks another."""
+    assert main(_synth_args(tmp_path)) == 0
+    run = ["run", "--stream", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+    capsys.readouterr()
+    assert main([*run, "--score", "linear"]) == 1
+    assert "unrecognized arguments: --score linear" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"score": "linear"}))
+    assert main([*run, "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['score']" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 @pytest.mark.parametrize("key,value", [("k", [1, 3]), ("roots", [0])])

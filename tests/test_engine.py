@@ -96,11 +96,11 @@ def test_config_validation():
                  seed=np.uint8(3))
 
 
-def test_config_takes_the_scorer_backend_and_the_decoupling_weights():
+def test_config_takes_the_decoupling_weights():
     cfg = OnlineConfig()
-    assert (cfg.backend, cfg.penalty_lambda1, cfg.penalty_lambda2) == ("linear", 0.1, 0.1)
-    cfg = OnlineConfig(backend="quadratic", penalty_lambda1=0.0, penalty_lambda2=2.5)
-    assert (cfg.backend, cfg.penalty_lambda1, cfg.penalty_lambda2) == ("quadratic", 0.0, 2.5)
+    assert (cfg.penalty_lambda1, cfg.penalty_lambda2) == (0.1, 0.1)
+    cfg = OnlineConfig(penalty_lambda1=0.0, penalty_lambda2=2.5)
+    assert (cfg.penalty_lambda1, cfg.penalty_lambda2) == (0.0, 2.5)
 
 
 def test_engine_rejects_bad_dimensions():
@@ -203,8 +203,7 @@ def test_best_reward_is_negated_fit_score():
     eng = OnlineEngine(d=2, cfg=cfg)
     batch = _easy_batches(1, seed=5)[0]
     rec = eng.process_batch(batch)
-    assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, batch.x, cfg.backend),
-                                            rel=1e-12)
+    assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, batch.x), rel=1e-12)
     # later batches of a state are scored against all of its rows so far
     eng = OnlineEngine(d=2, cfg=OnlineConfig(episodes_per_batch=5, seed=3, xi_threshold=1.0))
     rng = np.random.default_rng(8)
@@ -217,10 +216,8 @@ def test_best_reward_is_negated_fit_score():
         rows.append(later.x)
         assert not rec.converged
         seen = np.concatenate(rows, axis=0)
-        assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, seen, cfg.backend),
-                                                rel=1e-9)
-        assert rec.best_reward != pytest.approx(-bic_score(rec.a_est, later.x, cfg.backend),
-                                                rel=1e-6)
+        assert rec.best_reward == pytest.approx(-bic_score(rec.a_est, seen), rel=1e-9)
+        assert rec.best_reward != pytest.approx(-bic_score(rec.a_est, later.x), rel=1e-6)
     assert eng.state_scorer.n == 120
 
 
@@ -301,14 +298,11 @@ def test_transition_bookkeeping():
     assert np.allclose(eng.prev_summary[:, 1], state1.std(axis=0), atol=1e-9)
     assert np.array_equal(eng.prev_state_est, recs[1].a_est)
     # the state statistics restart with state 2: its records score its rows only
-    backend = eng.cfg.backend
     assert not recs[3].converged
     assert eng.state_scorer.n == 80
-    assert recs[2].best_reward == pytest.approx(-bic_score(recs[2].a_est, xs2[0], backend),
-                                                rel=1e-9)
+    assert recs[2].best_reward == pytest.approx(-bic_score(recs[2].a_est, xs2[0]), rel=1e-9)
     state2 = np.concatenate(xs2, axis=0)
-    assert recs[3].best_reward == pytest.approx(-bic_score(recs[3].a_est, state2, backend),
-                                                rel=1e-9)
+    assert recs[3].best_reward == pytest.approx(-bic_score(recs[3].a_est, state2), rel=1e-9)
     eng.on_state_transition(3)
     assert eng.state_scorer is None
 

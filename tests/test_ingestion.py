@@ -11,7 +11,6 @@ from streamdag.cli import main
 from streamdag.engine import OnlineConfig, OnlineEngine
 from streamdag.errors import DataRangeError, StreamDagError
 from streamdag.io import StreamBatch, write_stream
-from streamdag.scoring import BACKENDS
 
 from oracles import is_acyclic_dfs
 
@@ -137,8 +136,7 @@ def test_a_batch_yields_an_estimate_or_leaves_the_engine_unchanged(data):
     d = data.draw(st.integers(2, 5), label="d")
     cfg = OnlineConfig(mode=data.draw(st.sampled_from(["marlin", "marlin-s"]), label="mode"),
                        xi_threshold=data.draw(st.sampled_from([0.0, 0.5, 0.98]), label="xi"),
-                       episodes_per_batch=2, seed=0,
-                       backend=data.draw(st.sampled_from(BACKENDS), label="backend"))
+                       episodes_per_batch=2, seed=0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     eng = OnlineEngine(d, cfg)
     t, l = 1, 0

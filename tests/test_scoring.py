@@ -16,7 +16,6 @@ from streamdag.errors import (
 from streamdag.graphs import complement, random_dag, topological_order
 from streamdag.scoring import (
     _CLIMB_TOL,
-    BACKENDS,
     BatchScorer,
     bic_score,
     decouple_invariant,
@@ -54,24 +53,10 @@ def test_bic_matches_lstsq_oracle_linear():
         adj = random_dag(d, 0.4, rng)
         x = _sample_linear(adj, 150, rng)
         probe = random_dag(d, 0.4, rng)
-        got = bic_score(probe, x, "linear")
-        want = bic_lstsq_reference(probe, x, backend="linear")
+        got = bic_score(probe, x)
+        want = bic_lstsq_reference(probe, x)
         assert got == pytest.approx(want, rel=1e-8)
-        many = BatchScorer(x, "linear").score_many(probe[None])
-        assert many[0] == pytest.approx(want, rel=1e-8)
-
-
-def test_bic_matches_lstsq_oracle_quadratic():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        d = int(rng.integers(3, 6))
-        adj = random_dag(d, 0.4, rng)
-        x = _sample_linear(adj, 200, rng)
-        probe = random_dag(d, 0.4, rng)
-        got = bic_score(probe, x, "quadratic")
-        want = bic_lstsq_reference(probe, x, backend="quadratic")
-        assert got == pytest.approx(want, rel=1e-8)
-        many = BatchScorer(x, "quadratic").score_many(probe[None])
+        many = BatchScorer(x).score_many(probe[None])
         assert many[0] == pytest.approx(want, rel=1e-8)
 
 
@@ -90,27 +75,26 @@ def test_scorer_rejects_tiny_batches():
 
 def test_scorer_extends_its_base_with_a_batch():
     rng = np.random.default_rng(21)
-    for backend in BACKENDS:
-        blocks = [rng.standard_normal((n, 4)) for n in (12, 3, 20)]
-        probes = [random_dag(4, 0.5, rng) for _ in range(5)]
-        scorer = None
-        for block in blocks:
-            if scorer is not None:
-                for probe in probes:          # the base scores before it is extended
-                    scorer.score(probe)
-            scorer = BatchScorer(block, backend, base=scorer)
-        assert scorer.n == 35
-        whole = BatchScorer(np.concatenate(blocks), backend)
-        for probe in probes:
-            assert scorer.score(probe) == pytest.approx(whole.score(probe), rel=1e-9)
-        # a scorer that has scored returns what a fresh one on the same rows computes
-        fresh = BatchScorer(np.concatenate(blocks), backend)
-        for probe in probes:
-            assert whole.score(probe) == fresh.score(probe)
-            for j in range(4):
-                parents = np.flatnonzero(probe[:, j])
-                assert whole.node_rss(j, parents) == BatchScorer(
-                    np.concatenate(blocks), backend).node_rss(j, parents)
+    blocks = [rng.standard_normal((n, 4)) for n in (12, 3, 20)]
+    probes = [random_dag(4, 0.5, rng) for _ in range(5)]
+    scorer = None
+    for block in blocks:
+        if scorer is not None:
+            for probe in probes:          # the base scores before it is extended
+                scorer.score(probe)
+        scorer = BatchScorer(block, base=scorer)
+    assert scorer.n == 35
+    whole = BatchScorer(np.concatenate(blocks))
+    for probe in probes:
+        assert scorer.score(probe) == pytest.approx(whole.score(probe), rel=1e-9)
+    # a scorer that has scored returns what a fresh one on the same rows computes
+    fresh = BatchScorer(np.concatenate(blocks))
+    for probe in probes:
+        assert whole.score(probe) == fresh.score(probe)
+        for j in range(4):
+            parents = np.flatnonzero(probe[:, j])
+            assert whole.node_rss(j, parents) == BatchScorer(
+                np.concatenate(blocks)).node_rss(j, parents)
     # a short batch counts the base's rows towards the minimum
     BatchScorer(rng.standard_normal((2, 4)), base=BatchScorer(
         rng.standard_normal((6, 4))))
@@ -120,17 +104,16 @@ def test_scorer_extends_its_base_with_a_batch():
 
 def test_column_moments_cover_every_row_of_the_extended_scorers():
     rng = np.random.default_rng(23)
-    for backend in BACKENDS:
-        blocks = [np.array([1.0, 1e-3, 1e3, 1.0]) * rng.standard_normal((n, 4))
-                  + np.array([0.0, 5.0, -7e3, 1e6]) for n in (12, 3, 20)]
-        scorer = None
-        for block in blocks:
-            scorer = BatchScorer(block, backend, base=scorer)
-        rows = np.concatenate(blocks)
-        moments = scorer.column_moments()
-        assert moments.shape == (4, 2)
-        np.testing.assert_allclose(moments[:, 0], rows.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(moments[:, 1], rows.std(axis=0), rtol=1e-9)
+    blocks = [np.array([1.0, 1e-3, 1e3, 1.0]) * rng.standard_normal((n, 4))
+              + np.array([0.0, 5.0, -7e3, 1e6]) for n in (12, 3, 20)]
+    scorer = None
+    for block in blocks:
+        scorer = BatchScorer(block, base=scorer)
+    rows = np.concatenate(blocks)
+    moments = scorer.column_moments()
+    assert moments.shape == (4, 2)
+    np.testing.assert_allclose(moments[:, 0], rows.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(moments[:, 1], rows.std(axis=0), rtol=1e-9)
 
 
 def test_score_many_matches_score():
@@ -139,21 +122,19 @@ def test_score_many_matches_score():
     rng = np.random.default_rng(23)
     d = 5
     full = np.triu(np.ones((d, d), dtype=np.int8), 1)[np.ix_(*[rng.permutation(d)] * 2)]
-    for backend in BACKENDS:
-        x = _sample_linear(random_dag(d, 0.5, rng), 60, rng)
-        probes = [random_dag(d, 0.5, rng) for _ in range(6)]
-        stack = np.stack(probes + [np.zeros((d, d), dtype=np.int8), full] + probes[:3])
-        base = BatchScorer(x[:40], backend)
-        for make in (lambda: BatchScorer(x, backend),
-                     lambda: BatchScorer(x[40:], backend, base=base)):
-            scorer = make()
-            want = [scorer.score(a) for a in stack]
-            many = scorer.score_many(stack)
-            assert many.shape == (len(stack),)
-            np.testing.assert_allclose(many, want, rtol=1e-12, atol=0.0)
-            assert many[-3:].tolist() == many[:3].tolist()        # repeated DAGs
-            assert scorer.score_many(stack[::-1]).tolist() == many[::-1].tolist()
-            assert [make().score_many(a[None])[0] for a in stack] == many.tolist()
+    x = _sample_linear(random_dag(d, 0.5, rng), 60, rng)
+    probes = [random_dag(d, 0.5, rng) for _ in range(6)]
+    stack = np.stack(probes + [np.zeros((d, d), dtype=np.int8), full] + probes[:3])
+    base = BatchScorer(x[:40])
+    for make in (lambda: BatchScorer(x), lambda: BatchScorer(x[40:], base=base)):
+        scorer = make()
+        want = [scorer.score(a) for a in stack]
+        many = scorer.score_many(stack)
+        assert many.shape == (len(stack),)
+        np.testing.assert_allclose(many, want, rtol=1e-12, atol=0.0)
+        assert many[-3:].tolist() == many[:3].tolist()        # repeated DAGs
+        assert scorer.score_many(stack[::-1]).tolist() == many[::-1].tolist()
+        assert [make().score_many(a[None])[0] for a in stack] == many.tolist()
     with pytest.raises(DimensionMismatchError):
         scorer.score_many(stack[0])
 
@@ -246,8 +227,6 @@ def test_scorer_rejects_statistics_that_overflow():
     rng = np.random.default_rng(61)
     x = 1e100 * rng.standard_normal((30, 3))
     assert np.isfinite(BatchScorer(x).score(np.zeros((3, 3))))
-    with pytest.raises(DataRangeError):
-        BatchScorer(x, "quadratic")      # fourth powers overflow
     # rows of +-2e153 about a zero mean: one batch's sums of squares are 1.2e308,
     # and extending it with the same rows doubles them past the float64 range
     x = 2e153 * np.where(np.arange(30) % 2, 1.0, -1.0)[:, None] * np.ones(3)
@@ -351,12 +330,11 @@ def test_ordering_search_never_picks_a_constant_parent():
         BatchScorer(x).ordering_search([[0, 1, 2]])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_exact_optimum_is_the_best_of_every_dag(d, backend):
+def test_exact_optimum_is_the_best_of_every_dag(d):
     rng = np.random.default_rng(d)
     x = _sample_linear(random_dag(d, 0.6, rng), 40, rng)
-    scorer = BatchScorer(x, backend)
+    scorer = BatchScorer(x)
     optimum, dag = exact_optimum(scorer)
     # the oracle sums each node's term with its edges, _bic the terms first
     assert optimum == pytest.approx(scorer.score_many(np.stack(enumerate_dags(d))).min(),
@@ -381,11 +359,12 @@ def test_no_search_or_engine_dag_scores_below_the_exact_optimum(d, seed):
     assert (gaps >= -1e-9 * (1.0 + abs(optimum))).all()
 
 
-def test_config_rejects_unknown_backend():
-    with pytest.raises(ConfigError, match="backend must be one of"):
-        OnlineConfig(backend="cubic")
-    with pytest.raises(ConfigError, match="backend must be one of"):
-        BatchScorer(np.zeros((6, 3)), "cubic")
+def test_scorer_and_config_take_no_backend():
+    """Linear BIC is the one score: a backend argument is a TypeError."""
+    with pytest.raises(TypeError):
+        OnlineConfig(backend="linear")
+    with pytest.raises(TypeError):
+        BatchScorer(np.zeros((6, 3)), "linear")
 
 
 def test_decouple_zero_at_targets():
