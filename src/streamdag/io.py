@@ -6,10 +6,11 @@ Streams are JSON Lines, one batch per line:
 
 or, at a path ending in .csv, a plain CSV of rows plus a sidecar JSON list
 of entries, each giving a batch's (t, l, transition) and its CSV rows
-[start, stop), checked as strictly as JSONL.  The path's suffix picks the
-format for writing as for reading (_is_csv).  Both readers yield each batch
-with its place in the file, and one check (_in_order) rejects, in either
-format, a column count that drifts or a (t, l) that does not increase.
+[start, stop), checked as strictly as JSONL; no range starts before the
+previous one stops.  The path's suffix picks the format for writing as for
+reading (_is_csv).  Both readers yield each batch with its place in the
+file, and one check (_in_order) rejects, in either format, a column count
+that drifts or a (t, l) that does not increase.
 Results are JSON Lines of per-batch estimates (EpisodeRecord), flushed per
 line so downstream consumers can follow a run in progress.
 
@@ -210,12 +211,15 @@ def _iter_csv(path: Path, sidecar: Path):
         rows = np.loadtxt(path, delimiter=",", ndmin=2, converters=_cell)
     except ValueError as exc:
         raise SchemaError(f"CSV rows must be rectangular: {exc}") from None
+    prev_stop = 0
     for entry_no, entry in enumerate(meta, start=1):
         where = f"sidecar entry {entry_no}"
         _object(entry, _SIDECAR_FIELDS, "batch", where)
         start, stop = entry["start"], entry["stop"]
-        if not start < stop <= rows.shape[0]:
-            raise SchemaError(f"invalid row range [{start}, {stop})", where)
+        if not prev_stop <= start < stop <= rows.shape[0]:
+            raise SchemaError(f"invalid row range [{start}, {stop}): need "
+                              f"{prev_stop} <= start < stop <= {rows.shape[0]}", where)
+        prev_stop = stop
         if not np.isfinite(rows[start:stop]).all():
             raise SchemaError(f"cells in rows [{start}, {stop}) must be finite numbers", where)
         yield StreamBatch(**{key: entry[key] for key in _ENTRY_FIELDS}, x=rows[start:stop]), where
@@ -320,7 +324,7 @@ def write_truth(truth, path):
     doc = {
         "d": int(truth.adjacencies[0].shape[0]),
         "m": len(truth.adjacencies),
-        "mechanism": truth.mechanism,
+        "mechanism": truth.config.mechanism,
         "adjacencies": [matrix_to_lists(g) for g in truth.adjacencies],
         "weights": [np.asarray(truth.weights_for(t), dtype=float).tolist()
                     for t in range(1, len(truth.adjacencies) + 1)],

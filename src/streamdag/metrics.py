@@ -51,17 +51,12 @@ class RankingReport:
 
 
 def _shd(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """SHD of each pair of (..., d, d) boolean graphs."""
+    """SHD of each pair of (..., d, d) boolean graphs: the unordered pairs
+    whose edge patterns differ, so a reversed edge costs 1."""
     iu, ju = np.triu_indices(t.shape[-1], k=1)
     pat_true = t[..., iu, ju] * 2 + t[..., ju, iu]
     pat_est = e[..., iu, ju] * 2 + e[..., ju, iu]
     return (pat_true != pat_est).sum(axis=-1)
-
-
-def shd(a_true: np.ndarray, a_est: np.ndarray) -> int:
-    """Differing unordered-pair patterns; a reversed edge costs 1."""
-    graph_size(a_true, a_est)
-    return int(_shd(np.asarray(a_true, dtype=bool), np.asarray(a_est, dtype=bool)))
 
 
 def backdoor_connected(adj: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -99,18 +94,13 @@ def backdoor_connected(adj: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _sid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """SID of each pair of (..., d, d) boolean graphs."""
+    """SID of each pair of (..., d, d) boolean graphs: the ordered pairs
+    whose parent adjustment in the estimate fails in the truth."""
     desc = reachability(t)
     z = e.swapaxes(-1, -2)                     # z[..., i, :]: estimated parents of i
     adjusts_desc = (z & desc).any(axis=-1, keepdims=True)
     wrong = np.where(adjusts_desc, ~z | desc, backdoor_connected(t, z))
     return (wrong & ~np.eye(t.shape[-1], dtype=bool)).sum(axis=(-2, -1))
-
-
-def sid(a_true: np.ndarray, a_est: np.ndarray) -> int:
-    """Count ordered pairs whose parent-adjustment in the estimate fails in the truth."""
-    graph_size(a_true, a_est)
-    return int(_sid(np.asarray(a_true, dtype=bool), np.asarray(a_est, dtype=bool)))
 
 
 def _structure_reports(truths, estimates) -> list[StructureReport]:
@@ -176,14 +166,6 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
     return RankingReport(pr_at=pr_at, ap_at=ap_at, mrr=mrr)
 
 
-def atb(records) -> float:
-    """Mean wall_ms across result dicts (converged batches included)."""
-    times = [float(r["wall_ms"]) for r in records]
-    if not times:
-        raise InsufficientDataError("atb needs at least one record")
-    return float(np.mean(times))
-
-
 def final_records_per_state(results: list[dict]) -> dict[int, dict]:
     """Last record of each state in a results-file dict list."""
     finals: dict[int, dict] = {}
@@ -193,7 +175,9 @@ def final_records_per_state(results: list[dict]) -> dict[int, dict]:
 
 
 def summarize_run(results: list[dict], truth: dict) -> dict:
-    """Per-state reports (final estimate vs truth) plus the across-state average."""
+    """Per-state reports (final estimate vs truth, and atb_ms: the mean
+    wall_ms of the state's records, converged ones included) plus the
+    across-state average."""
     finals = final_records_per_state(results)
     states = range(1, int(truth["m"]) + 1)
     for t in states:
@@ -202,7 +186,8 @@ def summarize_run(results: list[dict], truth: dict) -> dict:
     reports = _structure_reports([truth["adjacencies"][t - 1] for t in states],
                                  [finals[t]["a_est"] for t in states])
     for t, report in zip(states, reports):
-        report.atb_ms = atb([r for r in results if int(r["t"]) == t])
+        report.atb_ms = float(np.mean([float(r["wall_ms"]) for r in results
+                                       if int(r["t"]) == t]))
     rows = [s.as_dict() for s in reports]
     avg = {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
     return {"states": rows, "average": avg}

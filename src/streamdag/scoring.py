@@ -113,8 +113,11 @@ class BatchScorer:
         return np.stack([mean, std], axis=1)
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
-        """Residual sum of squares of node on parents."""
-        mask = sum(1 << p for p in set(np.asarray(parents).tolist()))
+        """Residual sum of squares of node on parents, each in 0..d-1."""
+        held = set(np.asarray(parents).tolist())
+        if not held <= set(range(self.d)):
+            raise DimensionMismatchError(f"parents {sorted(held)} must lie in 0..{self.d - 1}")
+        mask = sum(1 << p for p in held)
         return float(self._solve(np.array([node]), np.array([mask], dtype=np.int64))[0])
 
     def _solve(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -162,13 +165,14 @@ class BatchScorer:
         return self._bic(rss.reshape(masks.shape), a)
 
     def _bic(self, rss: np.ndarray, adjs: np.ndarray) -> np.ndarray:
-        """BIC of each DAG in a (k, d, d) stack from its (k, d) node RSS."""
+        """BIC of each DAG in a (k, d, d) stack from its (k, d) node RSS; an
+        edge is a nonzero cell, whatever its value."""
         n = self.n
         terms = n * np.log(np.maximum(rss / n, _RSS_FLOOR))
         total = np.zeros(len(adjs))
         for term in terms.T:          # one node at a time, in node order
             total += term
-        return total + adjs.reshape(len(adjs), -1).sum(axis=1) * np.log(n)
+        return total + np.count_nonzero(adjs.reshape(len(adjs), -1), axis=1) * np.log(n)
 
     # -- ordering search ---------------------------------------------------------
 

@@ -63,19 +63,20 @@ class SynthConfig:
 
 @dataclass
 class MechanismParams:
-    """Per-edge coefficients shared by all states (masked per state)."""
+    """One SEM: its mechanism, per-edge coefficients shared by all states
+    (masked per state), and per-node noise scales."""
 
+    mechanism: str                           # one of MECHANISMS
     lin: np.ndarray                          # (d, d) linear weight for i -> j
     square: np.ndarray                       # (d, d) coefficient of x_i^2 into j
+    noise_scale: np.ndarray                  # (d,) per-node noise scale
     pair: dict = field(default_factory=dict)  # (i, k) -> (d,) coefficients of x_i * x_k
-    noise_scale: np.ndarray | None = None    # (d,) per-node noise scale
 
 
 @dataclass
 class GroundTruth:
     adjacencies: list[np.ndarray]            # G_1 .. G_m
     params: MechanismParams
-    mechanism: str
     config: SynthConfig
 
     def weights_for(self, t: int) -> np.ndarray:
@@ -151,21 +152,18 @@ def _draw_params(cfg: SynthConfig, graphs: list[np.ndarray],
         square[mask] = _draw_weight(rng, int(mask.sum()))
         for i, k in itertools.combinations(range(cfg.d), 2):
             pair[(i, k)] = _draw_weight(rng, cfg.d)
-    return MechanismParams(lin=lin, square=square, pair=pair,
-                           noise_scale=np.full(cfg.d, cfg.noise_scale))
+    return MechanismParams(mechanism=cfg.mechanism, lin=lin, square=square,
+                           noise_scale=np.full(cfg.d, cfg.noise_scale), pair=pair)
 
 
-def sem_sample(adj: np.ndarray, params: MechanismParams, mechanism: str,
-               n: int, rng: np.random.Generator,
-               noise_scale: np.ndarray | None = None) -> np.ndarray:
-    """Draw n rows from the SEM X_j = f_j(parents) + noise, in topological order."""
+def sem_sample(adj: np.ndarray, params: MechanismParams, n: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Draw n rows from the SEM X_j = f_j(parents) + noise, in topological
+    order, under params' mechanism and noise scales."""
+    mechanism = params.mechanism
     if mechanism not in MECHANISMS:
         raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    d = adj.shape[0]
-    scale = params.noise_scale if noise_scale is None else np.asarray(noise_scale, dtype=float)
-    if scale is None:
-        scale = np.ones(d)
-    x = np.zeros((n, d))
+    x = np.zeros((n, adj.shape[0]))
     for j in topological_order(adj):
         parents = np.flatnonzero(adj[:, j])
         pts = x[:, parents]
@@ -181,7 +179,7 @@ def sem_sample(adj: np.ndarray, params: MechanismParams, mechanism: str,
             for a, b in itertools.combinations(parents.tolist(), 2):
                 f += params.pair[(a, b)][j] * x[:, a] * x[:, b]
         noise = rng.exponential(1.0, size=n) if mechanism == "LE" else rng.standard_normal(n)
-        x[:, j] = f + noise * scale[j]
+        x[:, j] = f + noise * params.noise_scale[j]
     return x
 
 
@@ -192,13 +190,12 @@ def generate(cfg: SynthConfig) -> tuple[list[StreamBatch], GroundTruth]:
     rng_graphs = np.random.default_rng(graph_seq)
     graphs = make_state_graphs(cfg, rng_graphs)
     params = _draw_params(cfg, graphs, np.random.default_rng(param_seq))
-    truth = GroundTruth(adjacencies=graphs, params=params,
-                        mechanism=cfg.mechanism, config=cfg)
+    truth = GroundTruth(adjacencies=graphs, params=params, config=cfg)
     data_children = data_seq.spawn(cfg.m)
     batches: list[StreamBatch] = []
     for t in range(1, cfg.m + 1):
         rng = np.random.default_rng(data_children[t - 1])
-        x = sem_sample(graphs[t - 1], params, cfg.mechanism, cfg.n_per_state, rng)
+        x = sem_sample(graphs[t - 1], params, cfg.n_per_state, rng)
         n_batches = cfg.n_per_state // cfg.batch_size
         for l in range(1, n_batches + 1):
             lo = (l - 1) * cfg.batch_size

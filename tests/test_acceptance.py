@@ -7,6 +7,7 @@ construction; engine-level thresholds are pinned here and never tuned to the
 observed outcome.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -25,7 +26,7 @@ from streamdag.graphs import (
     topological_order,
 )
 from streamdag.io import StreamBatch, record_to_dict
-from streamdag.metrics import ranking_metrics, shd, sid, structure_metrics
+from streamdag.metrics import ranking_metrics, structure_metrics
 from streamdag.nn import (
     GaussianPolicy,
     GCNLayer,
@@ -299,7 +300,7 @@ def test_criterion_07_desk_scale(desk_runs):
     for truth in desk_runs["truths"]:
         for _ in range(100):
             rand = _matched_density_dag(10, int(truth.sum()), rng)
-            random_shds.append(shd(truth, rand))
+            random_shds.append(structure_metrics(truth, rand).shd)
     med_shd = float(np.median(shds))
     med_rand = float(np.median(random_shds))
     med_tpr = float(np.median(tprs))
@@ -317,8 +318,9 @@ def test_criterion_07_desk_scale(desk_runs):
 def test_criterion_08_early_exit():
     rng = np.random.default_rng(18)
     adj = np.array([[0, 1], [0, 0]], dtype=np.int8)
-    params = MechanismParams(lin=adj * 1.5, square=np.zeros((2, 2)))
-    batches = [StreamBatch(t=1, l=l, x=sem_sample(adj, params, "LG", 50, rng),
+    params = MechanismParams(mechanism="LG", lin=adj * 1.5, square=np.zeros((2, 2)),
+                             noise_scale=np.ones(2))
+    batches = [StreamBatch(t=1, l=l, x=sem_sample(adj, params, 50, rng),
                            transition=False)
                for l in range(1, 31)]
     eng = OnlineEngine(2, OnlineConfig(episodes_per_batch=64, seed=0))
@@ -385,7 +387,7 @@ def test_criterion_11_sid_bruteforce():
     mismatches = 0
     for true in dags:
         for est in dags:
-            if sid(true, est) != sid_reference(true, est):
+            if structure_metrics(true, est).sid != sid_reference(true, est):
                 mismatches += 1
     ok = mismatches == 0
     assert _verdict(11, "sid-bruteforce", ok,
@@ -413,10 +415,10 @@ def test_criterion_12_rca_sanity():
         assert roots, "stream draw has no root with descendants"
         root = roots[0]
         rng = np.random.default_rng(100 + seed)
-        normal = sem_sample(adj, truth.params, "LG", 300, rng)
+        normal = sem_sample(adj, truth.params, 300, rng)
         scale = np.ones(d)
         scale[root] = math.sqrt(10.0)   # variance inflated 10x at the root
-        fault = sem_sample(adj, truth.params, "LG", 100, rng, noise_scale=scale)
+        fault = sem_sample(adj, dataclasses.replace(truth.params, noise_scale=scale), 100, rng)
         z = anomaly_zscores(normal, fault)
         ordering = [n for n, _ in rank_root_causes(adj, RwrConfig(anomaly_scores=z))]
         mrrs.append(ranking_metrics(ordering, [root], (1, 3)).mrr)

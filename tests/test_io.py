@@ -111,6 +111,7 @@ _GOOD_ENTRY = {"t": 1, "l": 1, "transition": False, "start": 0, "stop": 2}
     ("5.0", None, "must be a JSON object"),
     ("5.0", {"t": True}, "t must be"),
     ("5.0", {"start": False, "stop": True}, "start must be"),
+    ("5.0", {"start": 1}, "invalid row range [1, 4): need 2 <= start"),
 ])
 def test_csv_entries_get_the_jsonl_checks(tmp_path, cell, entry, fragment):
     """Entry 2 of the sidecar (rows 2-3) is bad; the error names it."""

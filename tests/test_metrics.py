@@ -6,12 +6,9 @@ import pytest
 from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.graphs import reachability
 from streamdag.metrics import (
-    atb,
     backdoor_connected,
     final_records_per_state,
     ranking_metrics,
-    shd,
-    sid,
     structure_metrics,
     summarize_run,
 )
@@ -29,16 +26,16 @@ CHAIN3 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int8)
 
 
 def test_shd_unit_cases():
-    assert shd(CHAIN3, CHAIN3) == 0
+    assert structure_metrics(CHAIN3, CHAIN3).shd == 0
     reversed_edge = CHAIN3.copy()
     reversed_edge[0, 1], reversed_edge[1, 0] = 0, 1
-    assert shd(CHAIN3, reversed_edge) == 1
+    assert structure_metrics(CHAIN3, reversed_edge).shd == 1
     extra = CHAIN3.copy()
     extra[0, 2] = 1
-    assert shd(CHAIN3, extra) == 1
+    assert structure_metrics(CHAIN3, extra).shd == 1
     missing = CHAIN3.copy()
     missing[1, 2] = 0
-    assert shd(CHAIN3, missing) == 1
+    assert structure_metrics(CHAIN3, missing).shd == 1
 
 
 def test_shd_matches_cell_count_identity():
@@ -49,21 +46,22 @@ def test_shd_matches_cell_count_identity():
         g2 = _random_dag(6, rng)
         cells = int((g1 != g2).sum())
         reversals = int(((g1 == 1) & (g2 == 0) & (g1.T == 0) & (g2.T == 1)).sum())
-        assert shd(g1, g2) == cells - reversals
+        assert structure_metrics(g1, g2).shd == cells - reversals
 
 
 def test_shd_metric_properties():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b, c = (_random_dag(5, rng) for _ in range(3))
-        assert shd(a, b) == shd(b, a)
-        assert shd(a, c) <= shd(a, b) + shd(b, c)
-        assert shd(a, a) == 0
+        ab, ba = structure_metrics(a, b).shd, structure_metrics(b, a).shd
+        assert ab == ba
+        assert structure_metrics(a, c).shd <= ab + structure_metrics(b, c).shd
+        assert structure_metrics(a, a).shd == 0
 
 
 def test_shd_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
-        shd(np.zeros((2, 2)), np.zeros((3, 3)))
+        structure_metrics(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_auroc_unit_cases():
@@ -125,21 +123,21 @@ def test_d_separation_matches_path_oracle():
 
 
 def test_sid_unit_cases():
-    assert sid(CHAIN3, CHAIN3) == 0
+    assert structure_metrics(CHAIN3, CHAIN3).sid == 0
     reversed_chain = CHAIN3.T.copy()
-    assert sid(CHAIN3, reversed_chain) == 6     # every ordered pair is wrong
+    assert structure_metrics(CHAIN3, reversed_chain).sid == 6   # every ordered pair is wrong
     two = np.array([[0, 1], [0, 0]], dtype=np.int8)
-    assert sid(two, two.T.copy()) == 2
+    assert structure_metrics(two, two.T.copy()).sid == 2
     empty = np.zeros((3, 3), dtype=np.int8)
     # only effect-to-cause pairs are wrong: a root needs no adjustment
-    assert sid(CHAIN3, empty) == 3
+    assert structure_metrics(CHAIN3, empty).sid == 3
 
 
 def test_sid_identity_is_zero_on_random_dags():
     rng = np.random.default_rng(4)
     for _ in range(30):
         g = _random_dag(6, rng)
-        assert sid(g, g) == 0
+        assert structure_metrics(g, g).sid == 0
 
 
 def test_sid_matches_exhaustive_oracle():
@@ -147,7 +145,7 @@ def test_sid_matches_exhaustive_oracle():
     for _ in range(40):
         g = _random_dag(4, rng, p=0.5)
         h = _random_dag(4, rng, p=0.5)
-        assert sid(g, h) == sid_reference(g, h)
+        assert structure_metrics(g, h).sid == sid_reference(g, h)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -161,7 +159,7 @@ def test_sid_matches_exhaustive_oracle_on_every_kind_of_estimate(d):
         perm = rng.permutation(d)
         for h in (np.zeros_like(g), complete[np.ix_(perm, perm)], g, g.T.copy(),
                   _random_dag(d, rng, p=0.2), _random_dag(d, rng, p=0.7)):
-            assert sid(g, h) == sid_reference(g, h)
+            assert structure_metrics(g, h).sid == sid_reference(g, h)
 
 
 def test_summarize_run_rates_every_state_as_a_single_pair():
@@ -216,15 +214,16 @@ def test_ranking_validation():
 
 def test_atb_and_final_records():
     records = [
-        {"t": 1, "l": 1, "wall_ms": 10.0},
-        {"t": 1, "l": 2, "wall_ms": 30.0},
-        {"t": 2, "l": 1, "wall_ms": 5.0},
+        {"t": 1, "l": 1, "wall_ms": 10.0, "a_est": CHAIN3.tolist()},
+        {"t": 1, "l": 2, "wall_ms": 30.0, "a_est": CHAIN3.tolist()},
+        {"t": 2, "l": 1, "wall_ms": 5.0, "a_est": CHAIN3.tolist()},
     ]
-    assert atb(records) == pytest.approx(15.0)
+    truth = {"m": 2, "adjacencies": [CHAIN3, CHAIN3]}
+    summary = summarize_run(records, truth)
+    assert [s["atb_ms"] for s in summary["states"]] == pytest.approx([20.0, 5.0])
+    assert summary["average"]["atb_ms"] == pytest.approx(12.5)
     finals = final_records_per_state(records)
     assert finals[1]["l"] == 2 and finals[2]["l"] == 1
-    with pytest.raises(InsufficientDataError):
-        atb([])
 
 
 def test_summarize_run_perfect_results():

@@ -67,6 +67,26 @@ def test_bic_prefers_true_graph_over_empty():
     assert bic_score(adj, x) < bic_score(np.zeros_like(adj), x)
 
 
+def test_bic_counts_an_edge_per_nonzero_cell():
+    """Bool, weighted and doubled forms of one structure score as its 0/1 form."""
+    batches, truth = generate(SynthConfig(d=5, seed=0))
+    x = np.concatenate([b.x for b in batches if b.t == 1])
+    adj = truth.adjacencies[0]
+    scorer = BatchScorer(x)
+    want, want_many = bic_score(adj, x), scorer.score_many(adj[None])[0]
+    for form in (adj.astype(bool), truth.weights_for(1), 2 * adj):
+        assert bic_score(form, x) == want
+        assert scorer.score_many(form[None])[0] == want_many
+
+
+def test_node_rss_rejects_a_parent_outside_the_nodes():
+    scorer = BatchScorer(np.random.default_rng(3).standard_normal((40, 5)))
+    for parents in ([12], [-1], [1, 5]):
+        with pytest.raises(DimensionMismatchError, match=r"must lie in 0\.\.4"):
+            scorer.node_rss(0, np.array(parents))
+    assert scorer.node_rss(0, [1, 4]) == scorer.node_rss(0, np.array([4, 1]))
+
+
 def test_scorer_rejects_tiny_batches():
     x = np.zeros((4, 5))
     with pytest.raises(InsufficientDataError):

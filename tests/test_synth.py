@@ -1,5 +1,6 @@
 """Synthetic stream generator tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_linear_gaussian_covariance_matches_closed_form():
     _, truth = generate(cfg)
     adj = truth.adjacencies[-1]
     w = truth.weights_for(cfg.m)
-    x = sem_sample(adj, truth.params, "LG", 60000, np.random.default_rng(42))
+    x = sem_sample(adj, truth.params, 60000, np.random.default_rng(42))
     inv = np.linalg.inv(np.eye(4) - w.T)
     expected = inv @ inv.T
     assert np.abs(np.cov(x, rowvar=False) - expected).max() < 0.12 * max(1.0, np.abs(expected).max())
@@ -172,10 +173,9 @@ def test_linear_gaussian_covariance_matches_closed_form():
 
 def test_linear_exponential_noise_is_uncentered_and_skewed():
     adj = np.array([[0, 1], [0, 0]], dtype=np.int8)
-    params = MechanismParams(lin=np.array([[0.0, 1.5], [0.0, 0.0]]),
-                             square=np.zeros((2, 2)), pair={},
-                             noise_scale=np.ones(2))
-    x = sem_sample(adj, params, "LE", 50000, np.random.default_rng(1))
+    params = MechanismParams(mechanism="LE", lin=np.array([[0.0, 1.5], [0.0, 0.0]]),
+                             square=np.zeros((2, 2)), noise_scale=np.ones(2))
+    x = sem_sample(adj, params, 50000, np.random.default_rng(1))
     root = x[:, 0]
     assert abs(root.mean() - 1.0) < 0.03                # Exp(1) mean
     centered = root - root.mean()
@@ -190,9 +190,9 @@ def test_quadratic_mechanism_unit_case():
     square = np.zeros((3, 3))
     square[0, 2], square[1, 2] = 3.0, 0.5
     pair = {(0, 1): np.array([0.0, 0.0, 4.0])}
-    params = MechanismParams(lin=lin, square=square, pair=pair,
-                             noise_scale=np.full(3, 1e-9))
-    x = sem_sample(adj, params, "QR", 200, np.random.default_rng(7))
+    params = MechanismParams(mechanism="QR", lin=lin, square=square,
+                             noise_scale=np.full(3, 1e-9), pair=pair)
+    x = sem_sample(adj, params, 200, np.random.default_rng(7))
     expected = (2.0 * x[:, 0] - 1.0 * x[:, 1]
                 + 3.0 * x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2
                 + 4.0 * x[:, 0] * x[:, 1])
@@ -218,8 +218,8 @@ def test_noiseless_linear_reconstruction():
     _, truth = generate(cfg)
     adj = truth.adjacencies[-1]
     w = truth.weights_for(cfg.m)
-    x = sem_sample(adj, truth.params, "LG", 300, np.random.default_rng(0),
-                   noise_scale=np.full(5, 1e-10))
+    params = dataclasses.replace(truth.params, noise_scale=np.full(5, 1e-10))
+    x = sem_sample(adj, params, 300, np.random.default_rng(0))
     for j in range(5):
         parents = np.flatnonzero(adj[:, j])
         if parents.size:
@@ -228,10 +228,10 @@ def test_noiseless_linear_reconstruction():
 
 def test_gp_mechanism_deterministic_and_finite():
     adj = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int8)
-    params = MechanismParams(lin=np.zeros((3, 3)), square=np.zeros((3, 3)), pair={},
+    params = MechanismParams(mechanism="GP", lin=np.zeros((3, 3)), square=np.zeros((3, 3)),
                              noise_scale=np.full(3, 0.1))
-    x1 = sem_sample(adj, params, "GP", 64, np.random.default_rng(5))
-    x2 = sem_sample(adj, params, "GP", 64, np.random.default_rng(5))
+    x1 = sem_sample(adj, params, 64, np.random.default_rng(5))
+    x2 = sem_sample(adj, params, 64, np.random.default_rng(5))
     assert np.array_equal(x1, x2)
     assert np.isfinite(x1).all()
     # the sampled function varies with its parent inputs
@@ -240,6 +240,15 @@ def test_gp_mechanism_deterministic_and_finite():
 
 def test_sem_sample_rejects_cycles():
     cyc = np.array([[0, 1], [1, 0]], dtype=np.int8)
-    params = MechanismParams(lin=np.zeros((2, 2)), square=np.zeros((2, 2)), pair={})
+    params = MechanismParams(mechanism="LG", lin=np.zeros((2, 2)), square=np.zeros((2, 2)),
+                             noise_scale=np.ones(2))
     with pytest.raises(CyclicGraphError):
-        sem_sample(cyc, params, "LG", 10, np.random.default_rng(0))
+        sem_sample(cyc, params, 10, np.random.default_rng(0))
+
+
+def test_sem_sample_rejects_an_unknown_mechanism():
+    adj = np.array([[0, 1], [0, 0]], dtype=np.int8)
+    params = MechanismParams(mechanism="XX", lin=np.zeros((2, 2)), square=np.zeros((2, 2)),
+                             noise_scale=np.ones(2))
+    with pytest.raises(ConfigError, match="mechanism must be one of"):
+        sem_sample(adj, params, 10, np.random.default_rng(0))
