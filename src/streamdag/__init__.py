@@ -1,6 +1,6 @@
 """Online causal structure learning from non-stationary data streams."""
 
-from .agents import Agent, fuse_actions, partition_action_space, update_baseline
+from .agents import Agent, partition_action_space
 from .engine import OnlineConfig, OnlineEngine, graph_similarity
 from .errors import (
     ConfigError,
@@ -26,7 +26,7 @@ from .io import EpisodeRecord, StreamBatch, read_results, read_stream, read_trut
 from .metrics import RankingReport, StructureReport, ranking_metrics, structure_metrics, summarize_run
 from .rca import RwrConfig, anomaly_zscores, fault_window_scores, rank_root_causes
 from .scoring import BatchScorer, bic_score, reward
-from .synth import GroundTruth, SynthConfig, generate, sem_sample
+from .synth import GroundTruth, MechanismParams, SynthConfig, generate, sem_sample
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,7 @@ __all__ = [
     "GroundTruth",
     "InsufficientDataError",
     "InvalidActionError",
+    "MechanismParams",
     "OnlineConfig",
     "OnlineEngine",
     "RankingReport",
@@ -58,7 +59,6 @@ __all__ = [
     "complement",
     "dag_decompose",
     "fault_window_scores",
-    "fuse_actions",
     "generate",
     "graph_similarity",
     "is_acyclic",
@@ -74,7 +74,6 @@ __all__ = [
     "structure_metrics",
     "summarize_run",
     "topological_order",
-    "update_baseline",
     "write_results",
     "write_stream",
     "write_truth",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDataError, require
 from .graphs import action_dim
 from .nn import (
     LOG_2PI,
@@ -36,26 +36,6 @@ from .nn import (
 )
 
 KINDS = ("specific", "invariant")
-
-
-def fuse_actions(a_spec: np.ndarray, a_inv: np.ndarray, beta: float) -> np.ndarray:
-    """Convex combination beta * a_spec + (1 - beta) * a_inv."""
-    a_spec = np.asarray(a_spec, dtype=float)
-    a_inv = np.asarray(a_inv, dtype=float)
-    if a_spec.shape != a_inv.shape:
-        raise DimensionMismatchError(
-            f"cannot fuse actions of shapes {a_spec.shape} and {a_inv.shape}"
-        )
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    return beta * a_spec + (1.0 - beta) * a_inv
-
-
-def update_baseline(baseline: float, gamma: float, mean_reward: float) -> float:
-    """Exponential moving average B' = gamma * B + (1 - gamma) * mean_reward."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    return gamma * baseline + (1.0 - gamma) * mean_reward
 
 
 def batch_stats(x: np.ndarray) -> np.ndarray:
@@ -113,10 +93,7 @@ class TrainStats:
 
 def partition_action_space(action_len: int, workers: int) -> list[int]:
     """Contiguous slice lengths; the last worker absorbs the remainder."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers > action_len:
-        raise ConfigError(f"workers={workers} exceeds action length {action_len}")
+    require("workers", workers, f"[1, {action_len}]", integer=True)
     base = action_len // workers
     sizes = [base] * workers
     sizes[-1] += action_len - base * workers
@@ -136,6 +113,8 @@ class Agent:
                  lr: float, gamma: float, seed_seq: np.random.SeedSequence):
         if kind not in KINDS:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {kind!r}")
+        require("lr", lr, "(0, inf)")
+        require("gamma", gamma, "[0, 1]")
         self.kind = kind
         self.d = d
         self.workers = workers
@@ -288,7 +267,7 @@ class Agent:
         total.backward()
         adam_step(self.params, lr=self.lr)
         mean_reward = float(rewards.mean())
-        self.baseline = update_baseline(self.baseline, self.gamma, mean_reward)
+        self.baseline = self.gamma * self.baseline + (1.0 - self.gamma) * mean_reward
         return TrainStats(
             actor_loss=float(actor_loss.data.sum()),
             critic_loss=float(critic_loss.data.sum()),

@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agents import Agent, fuse_actions
-from .errors import ConfigError, DataRangeError, DimensionMismatchError, require_integers
+from .agents import Agent
+from .errors import ConfigError, DataRangeError, DimensionMismatchError, require
 from .graphs import action_to_dag, graph_size, split_action
 from .io import EpisodeRecord
 from .scoring import (
@@ -79,30 +79,19 @@ class OnlineConfig:
     timing: bool = True           # False writes wall_ms = 0.0 for byte-stable output
 
     def __post_init__(self):
-        require_integers(episodes_per_batch=self.episodes_per_batch, workers=self.workers,
-                         seed=self.seed)
+        require("episodes_per_batch", self.episodes_per_batch, "[1, inf)", integer=True)
+        require("workers", self.workers, "[1, inf)", integer=True)
+        require("seed", self.seed, "[0, inf)", integer=True)
+        require("beta", self.beta, "[0, 1]")
+        require("xi_threshold", self.xi_threshold, "[0, 1]")
+        require("penalty_lambda1", self.penalty_lambda1, "[0, inf)")
+        require("penalty_lambda2", self.penalty_lambda2, "[0, inf)")
+        require("lr", self.lr, "(0, inf)")
+        require("gamma", self.gamma, "[0, 1]")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.mode in ("marlin", "marlin-s") and self.workers != 1:
             raise ConfigError(f"mode {self.mode} runs a single worker")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("penalty_lambda1", "penalty_lambda2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.xi_threshold <= 1.0:
-            raise ConfigError(f"xi_threshold must be in [0, 1], got {self.xi_threshold}")
-        if self.episodes_per_batch < 1:
-            raise ConfigError("episodes_per_batch must be positive")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
 def graph_similarity(g_prev: np.ndarray, g_cur: np.ndarray) -> float:
@@ -142,9 +131,7 @@ class OnlineEngine:
     """
 
     def __init__(self, d: int, cfg: OnlineConfig):
-        require_integers(d=d)
-        if not 2 <= d <= MAX_SEARCH_NODES:
-            raise ConfigError(f"need 2 to {MAX_SEARCH_NODES} variables, got d={d}")
+        require("d", d, f"[2, {MAX_SEARCH_NODES}]", integer=True)
         self.d = d
         self.cfg = cfg
         width = max(16, 64 // cfg.workers)     # embedding and hidden width
@@ -260,7 +247,7 @@ class OnlineEngine:
         if self.dual:
             z_inv = self.inv.encode_invariant(self.prev_summary, z_spec, a_prev)
             prop_inv = self.inv.propose(z_inv, self._rng_inv, k)
-            fused = fuse_actions(prop_spec.actions, prop_inv.actions, cfg.beta)
+            fused = cfg.beta * prop_spec.actions + (1.0 - cfg.beta) * prop_inv.actions
         else:
             fused = prop_spec.actions
         a_fused = action_to_dag(fused)

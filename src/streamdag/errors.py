@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the integer check of the
-configurations.
+"""Exception types shared across the package, and require, the one check of
+every numeric setting: a number, never a bool, inside its interval, and an
+integer where the setting counts something.
 
 Every StreamDagError means invalid input or configuration, and the CLI exits 1
 on any of them; an OSError or any other exception is a runtime failure (exit 2).
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class StreamDagError(Exception):
@@ -50,9 +51,15 @@ class GenerationError(StreamDagError):
     """Synthetic generation could not satisfy its constraints."""
 
 
-def require_integers(**values):
-    """ConfigError for the first value that is not a Python or numpy integer
-    (a bool is not one), named by its keyword."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+def require(name: str, value, interval: str, *, integer: bool = False):
+    """ConfigError, naming the setting, unless value is a number inside
+    interval, written like "[0, 1]", "(0, inf)" or "(0, inf]": a round
+    bracket excludes its end, and either end may be inf.  With integer set
+    the value must be a Python or numpy integer.  A bool is never a number."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if integer and not (number and isinstance(value, Integral)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not (number and (lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ConfigError(f"{name} must be in {interval}, got {value!r}")

@@ -37,7 +37,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .graphs import is_acyclic
 
 
@@ -247,10 +247,13 @@ def _is_csv(target) -> bool:
 
 
 def read_stream(source, sidecar=None):
-    """Lazily yield validated StreamBatch values from JSONL, CSV, or a file object."""
+    """Lazily yield validated StreamBatch values from JSONL, CSV, or a file
+    object; a sidecar is given for a .csv path only."""
     if _is_csv(source):
         side = Path(source).with_suffix(".meta.json") if sidecar is None else Path(sidecar)
         located = _iter_csv(Path(source), side)
+    elif sidecar is not None:
+        raise ConfigError("a sidecar applies to a .csv stream path only")
     else:
         located = ((_parse_batch(obj, n), n) for obj, n in _json_lines(source))
     yield from _in_order(located)

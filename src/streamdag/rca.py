@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDataError, require
 from .graphs import graph_size
 
 # Lower bound on a normal-window sigma, so a constant column scores finitely.
@@ -33,8 +33,7 @@ class RwrConfig:
             raise ConfigError("anomaly_scores must be finite and nonnegative")
         if not self.anomaly_scores.sum() > 0:
             raise ConfigError("anomaly_scores must not be all zero")
-        if not 0.0 < self.restart_prob < 1.0:
-            raise ConfigError(f"restart_prob must be in (0, 1), got {self.restart_prob}")
+        require("restart_prob", self.restart_prob, "(0, 1)")
 
 
 def rank_root_causes(adj: np.ndarray, cfg: RwrConfig) -> list[tuple[int, float]]:

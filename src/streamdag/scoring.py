@@ -113,10 +113,14 @@ class BatchScorer:
         return np.stack([mean, std], axis=1)
 
     def node_rss(self, node: int, parents: np.ndarray) -> float:
-        """Residual sum of squares of node on parents, each in 0..d-1."""
+        """Residual sum of squares of node on parents, each in 0..d-1 and
+        none of them the node itself."""
         held = set(np.asarray(parents).tolist())
-        if not held <= set(range(self.d)):
-            raise DimensionMismatchError(f"parents {sorted(held)} must lie in 0..{self.d - 1}")
+        if node not in range(self.d) or not held <= set(range(self.d)):
+            raise DimensionMismatchError(
+                f"node {node} and parents {sorted(held)} must lie in 0..{self.d - 1}")
+        if node in held:
+            raise CyclicGraphError(f"node {node} cannot be its own parent")
         mask = sum(1 << p for p in held)
         return float(self._solve(np.array([node]), np.array([mask], dtype=np.int64))[0])
 
@@ -160,6 +164,8 @@ class BatchScorer:
             raise DimensionMismatchError(
                 f"adjacency stack shape {a.shape} does not match batch with d={d}"
             )
+        if a.diagonal(axis1=1, axis2=2).any():
+            raise CyclicGraphError("a graph of the stack has a self-loop")
         masks = ((a != 0).astype(np.int64) << np.arange(d)[:, None]).sum(axis=1)
         rss = self._solve(np.broadcast_to(np.arange(d), masks.shape).ravel(), masks.ravel())
         return self._bic(rss.reshape(masks.shape), a)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, require_integers
+from .errors import ConfigError, GenerationError, require
 from .graphs import is_acyclic, random_dag, topological_order
 from .io import StreamBatch
 
@@ -41,24 +41,16 @@ class SynthConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        require_integers(d=self.d, m=self.m, n_per_state=self.n_per_state,
-                         batch_size=self.batch_size, seed=self.seed)
-        if self.d < 2:
-            raise ConfigError(f"need at least 2 nodes, got d={self.d}")
-        if self.m < 2:
-            raise ConfigError(f"need at least 2 states, got m={self.m}")
-        if not 0 <= self.e < np.inf:
-            raise ConfigError(f"noise rate must be finite and >= 0, got {self.e}")
+        require("d", self.d, "[2, inf)", integer=True)
+        require("m", self.m, "[2, inf)", integer=True)
+        require("e", self.e, "[0, inf)")
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
-        if not self.er_expected_degree > 0:     # inf asks for the complete DAG
-            raise ConfigError("er_expected_degree must be positive")
-        if not 1 <= self.batch_size <= self.n_per_state:
-            raise ConfigError("need 1 <= batch_size <= n_per_state")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.noise_scale < np.inf:
-            raise ConfigError(f"noise_scale must be finite and positive, got {self.noise_scale}")
+        require("er_expected_degree", self.er_expected_degree, "(0, inf]")  # inf: the complete DAG
+        require("n_per_state", self.n_per_state, "[1, inf)", integer=True)
+        require("batch_size", self.batch_size, f"[1, {self.n_per_state}]", integer=True)
+        require("seed", self.seed, "[0, inf)", integer=True)
+        require("noise_scale", self.noise_scale, "(0, inf)")
 
 
 @dataclass

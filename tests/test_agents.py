@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from streamdag.agents import (
-    Agent,
-    fuse_actions,
-    partition_action_space,
-    update_baseline,
-)
+from streamdag.agents import Agent, partition_action_space
 from streamdag.errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from streamdag.nn import Tensor
 
@@ -29,35 +24,22 @@ def make_batch(seed=0, n=30, d=D):
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
-def test_fuse_actions_unit_cases():
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(fuse_actions(a, b, 0.5), [0.5, 0.5, 0.0])
-    np.testing.assert_array_equal(fuse_actions(a, b, 1.0), a)
-    np.testing.assert_array_equal(fuse_actions(a, b, 0.0), b)
-    np.testing.assert_array_equal(fuse_actions(a, a, 0.37), a)
-
-
-def test_fuse_actions_validation():
-    with pytest.raises(DimensionMismatchError):
-        fuse_actions(np.zeros(3), np.zeros(4), 0.5)
-    with pytest.raises(ConfigError):
-        fuse_actions(np.zeros(3), np.zeros(3), 1.5)
-
-
-def test_update_baseline_unit_cases():
-    assert update_baseline(0.0, 0.9, 2.0) == pytest.approx(0.2)
-    assert update_baseline(1.7, 1.0, 99.0) == 1.7
-    assert update_baseline(1.7, 0.0, 99.0) == 99.0
-
-
 def test_baseline_stays_in_convex_hull():
+    """After each train_step the baseline is gamma * B + (1 - gamma) * mean
+    reward, so it stays in the hull of 0 and the rewards; gamma 1 keeps it
+    and gamma 0 takes the mean."""
     rng = np.random.default_rng(0)
-    b = 0.0
-    rewards = rng.uniform(-5, 3, size=50)
-    for r in rewards:
-        b = update_baseline(b, 0.9, float(r))
-        assert min(rewards.min(), 0.0) <= b <= max(rewards.max(), 0.0)
+    rewards = rng.uniform(-5, 3, size=(12, 2))
+    for gamma in (0.0, 0.9, 1.0):
+        agent = Agent("specific", d=D, workers=1, width=WIDTH, lr=0.01, gamma=gamma,
+                      seed_seq=np.random.SeedSequence(3))
+        b = 0.0
+        for r in rewards:
+            z = agent.encode_specific(make_batch(), np.zeros((D, D)))
+            agent.train_step(agent.propose(z, rng, 2), r)
+            b = gamma * b + (1.0 - gamma) * float(r.mean())
+            assert agent.baseline == b
+            assert min(rewards.min(), 0.0) <= agent.baseline <= max(rewards.max(), 0.0)
 
 
 def test_partition_sizes():
@@ -254,7 +236,7 @@ def test_train_step_moves_parameters_and_baseline():
     z = agent.encode_specific(make_batch(), np.zeros((D, D)))
     prop = agent.propose(z, np.random.default_rng(2), 2)
     stats = agent.train_step(prop, [4.0, 6.0])
-    assert agent.baseline == pytest.approx(update_baseline(0.0, 0.99, 5.0))
+    assert agent.baseline == pytest.approx(0.05)      # 0.99 * 0 + 0.01 * 5
     assert stats.critic_loss > 0.0
 
 

@@ -229,14 +229,15 @@ def test_invalid_engine_config_exits_1(tmp_path, capsys):
     # a non-finite rate is rejected before any record is written
     assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--lr=inf",
                  "--out", str(tmp_path / "r.jsonl")]) == 1
-    assert capsys.readouterr().err == "error: lr must be finite and positive, got inf\n"
+    assert capsys.readouterr().err == "error: lr must be in (0, inf), got inf\n"
     assert not (tmp_path / "r.jsonl").exists()
     # so is a negative or non-finite decoupling weight
     for flag, name in (("--lambda1", "penalty_lambda1"), ("--lambda2", "penalty_lambda2")):
         for value in ("-1", "nan", "inf"):
             assert main(["run", "--stream", str(tmp_path / "s.jsonl"), flag, value,
                          "--out", str(tmp_path / "r.jsonl")]) == 1
-            assert capsys.readouterr().err == f"error: {name} must be finite and nonnegative\n"
+            assert capsys.readouterr().err == (f"error: {name} must be in [0, inf), "
+                                               f"got {float(value)!r}\n")
             assert not (tmp_path / "r.jsonl").exists()
 
 
@@ -260,7 +261,7 @@ def test_negative_seed_exits_1(tmp_path, capsys, route):
     capsys.readouterr()
     assert main(args) == 1
     want = "-1" if how == "flag" else "-3"
-    assert capsys.readouterr().err == f"error: seed must be >= 0, got {want}\n"
+    assert capsys.readouterr().err == f"error: seed must be in [0, inf), got {want}\n"
     assert not (tmp_path / ("s.jsonl" if command == "synth" else "r.jsonl")).exists()
 
 
@@ -283,9 +284,9 @@ def test_run_flags_reach_the_engine(tmp_path):
 
 
 @pytest.mark.parametrize("flag,fragment", [
-    ("--e=inf", "noise rate must be finite"),
-    ("--e=nan", "noise rate must be finite"),
-    ("--noise-scale=inf", "noise_scale must be finite"),
+    ("--e=inf", "e must be in [0, inf), got inf"),
+    ("--e=nan", "e must be in [0, inf), got nan"),
+    ("--noise-scale=inf", "noise_scale must be in (0, inf), got inf"),
 ])
 def test_non_finite_synth_setting_exits_1(tmp_path, capsys, flag, fragment):
     assert main([*_synth_args(tmp_path), flag]) == 1
@@ -408,6 +409,15 @@ def test_csv_route_gives_the_jsonl_route_results(tmp_path, capsys):
     (tmp_path / "s.meta.json").write_text("[]")
     assert main([*run, "--stream", str(tmp_path / "s.csv")]) == 1
     assert "sidecar must be a non-empty list" in capsys.readouterr().err
+
+
+def test_sidecar_for_a_jsonl_stream_exits_1(tmp_path, capsys):
+    assert main(_synth_args(tmp_path)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--sidecar",
+                 str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: a sidecar applies to a .csv stream path only\n")
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_csv_flag_and_config_key_are_gone(tmp_path, capsys):

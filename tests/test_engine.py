@@ -77,15 +77,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         OnlineConfig(lr=0.0)
     for lr in (float("inf"), float("nan")):
-        with pytest.raises(ConfigError, match="lr must be finite"):
+        with pytest.raises(ConfigError, match=r"lr must be in \(0, inf\)"):
             OnlineConfig(lr=lr)
     with pytest.raises(ConfigError):
         OnlineConfig(gamma=1.5)
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, inf\), got -1"):
         OnlineConfig(seed=-1)
     for name in ("penalty_lambda1", "penalty_lambda2"):
         for value in (-1.0, -1e-12, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ConfigError, match=f"{name} must be finite and nonnegative"):
+            with pytest.raises(ConfigError, match=rf"{name} must be in \[0, inf\)"):
                 OnlineConfig(**{name: value})
     OnlineConfig(mode="marlin-m", workers=1)    # single worker is allowed
     for name in ("episodes_per_batch", "workers", "seed"):
@@ -110,7 +110,7 @@ def test_engine_rejects_bad_dimensions():
         with pytest.raises(ConfigError, match=f"d must be an integer, got {d!r}"):
             OnlineEngine(d=d, cfg=OnlineConfig())
     assert OnlineEngine(d=np.int64(3), cfg=OnlineConfig()).d == 3
-    with pytest.raises(ConfigError, match="exceeds action length 6"):
+    with pytest.raises(ConfigError, match=r"workers must be in \[1, 6\], got 7"):
         OnlineEngine(d=2, cfg=OnlineConfig(mode="marlin-m", workers=7))
 
 
@@ -282,6 +282,17 @@ def test_fused_mode_with_full_specific_weight_matches_single_agent():
         assert np.array_equal(r_dual.a_est, r_solo.a_est)
         assert np.array_equal(dual.best_dags.specific, solo.best_dags.specific)
         assert r_dual.best_reward == r_solo.best_reward
+
+
+def test_fusion_weight_ends_give_one_agents_dag():
+    """The fused action is beta * specific + (1 - beta) * invariant, so beta 1
+    fuses to the specific agent's DAG and beta 0 to the invariant agent's."""
+    batches, _ = generate(SynthConfig(d=5, m=2, n_per_state=60, batch_size=30, seed=1))
+    for beta, agent in ((1.0, "specific"), (0.0, "invariant")):
+        eng = OnlineEngine(d=5, cfg=OnlineConfig(beta=beta, episodes_per_batch=6, seed=3))
+        for batch in batches:
+            eng.process_batch(batch)
+            assert np.array_equal(eng.best_dags.fused, getattr(eng.best_dags, agent))
 
 
 def test_transition_bookkeeping():

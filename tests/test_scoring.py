@@ -9,6 +9,7 @@ import pytest
 from streamdag.engine import OnlineConfig, OnlineEngine
 from streamdag.errors import (
     ConfigError,
+    CyclicGraphError,
     DataRangeError,
     DimensionMismatchError,
     InsufficientDataError,
@@ -85,6 +86,22 @@ def test_node_rss_rejects_a_parent_outside_the_nodes():
         with pytest.raises(DimensionMismatchError, match=r"must lie in 0\.\.4"):
             scorer.node_rss(0, np.array(parents))
     assert scorer.node_rss(0, [1, 4]) == scorer.node_rss(0, np.array([4, 1]))
+
+
+def test_a_node_outside_the_nodes_or_among_its_own_parents_is_rejected():
+    scorer = BatchScorer(np.random.default_rng(3).standard_normal((40, 5)))
+    for node in (-1, 5, 7):
+        with pytest.raises(DimensionMismatchError, match=rf"node {node} .*must lie in 0\.\.4"):
+            scorer.node_rss(node, [])
+    with pytest.raises(CyclicGraphError, match="node 2 cannot be its own parent"):
+        scorer.node_rss(2, [0, 2])
+    with pytest.raises(CyclicGraphError):
+        scorer.score(np.eye(5, dtype=int))
+    stack = np.zeros((3, 5, 5), dtype=int)
+    scorer.score_many(stack)
+    stack[1, 3, 3] = 1
+    with pytest.raises(CyclicGraphError, match="self-loop"):
+        scorer.score_many(stack)
 
 
 def test_scorer_rejects_tiny_batches():
