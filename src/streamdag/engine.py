@@ -25,9 +25,10 @@ batch and, on a state transition, keeps only its column moments.  After the
 episodes, an ordering search on the same statistics
 (BatchScorer.ordering_search) starts from the state's incumbent ordering,
 the best episode's ordering and a seeded random ordering; the estimate is
-the better-scoring of its DAG and the best episode's.  Early exit watches
-the agents: it fires once the best episodes' DAGs of two consecutive
-batches are more similar than xi_threshold.
+the better-scoring of its DAG and the best episode's.  Early exit reads
+the last learning record: a batch that opens no new state repeats it with
+xi 1, learning nothing, once it converged (xi > xi_threshold); a state's
+first batch always learns.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .agents import Agent
 from .errors import ConfigError, DataRangeError, DimensionMismatchError, require
-from .graphs import action_to_dag, graph_size, split_action
+from .graphs import action_to_dag, graph_size
 from .io import EpisodeRecord
 from .scoring import (
     MAX_SEARCH_NODES,
@@ -154,7 +155,6 @@ class OnlineEngine:
         self.state_scorer: BatchScorer | None = None   # statistics of the state's rows
         self._incumbent = list(range(d))       # ordering of the latest estimate
         self.t: int | None = None
-        self.converged = False
 
     # -- state handling ---------------------------------------------------------
 
@@ -165,7 +165,6 @@ class OnlineEngine:
             self.prev_summary = self.state_scorer.column_moments()
         self.state_scorer = None
         self.spec.reinit()
-        self.converged = False
         self.t = t_new
 
     # -- main loop ----------------------------------------------------------------
@@ -173,11 +172,11 @@ class OnlineEngine:
     def process_batch(self, batch) -> EpisodeRecord:
         x = np.asarray(batch.x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.d:
-            raise DimensionMismatchError(
-                f"batch {batch.t}/{batch.l} has width {x.shape[-1]}, expected d={self.d}"
-            )
+            raise DimensionMismatchError(f"batch {batch.t}/{batch.l} has width "
+                                         f"{x.shape[-1]}, expected d={self.d}")
         start = time.perf_counter()
         transition = self.t is not None and (batch.transition or batch.t != self.t)
+        skip = not transition and self._last.converged
         # The batch is checked and the scorer built before any state changes, so
         # a batch they reject (non-finite values, too few rows for the state so
         # far, or overflowing statistics) leaves the engine as it was.  The
@@ -185,20 +184,19 @@ class OnlineEngine:
         if not np.isfinite(x).all():
             raise DataRangeError(f"batch {batch.t}/{batch.l} holds non-finite values")
         base = None if transition else self.state_scorer
-        scorer = (BatchScorer(x, base=base)
-                  if transition or not self.converged else None)
+        scorer = None if skip else BatchScorer(x, base=base)
         with np.errstate(over="ignore"):
             if not np.isfinite((x * x).sum(axis=0)).all():
                 raise DataRangeError(f"batch {batch.t}/{batch.l}: the column sums of "
                                      "squares overflow float64")
-        if self.t is None:
-            self.t = batch.t
-        elif transition:
+        if transition:
             self.on_state_transition(batch.t)
-        if scorer is None:
-            return self._converged_record(batch, start)
-
+        self.t = batch.t
         cfg = self.cfg
+        if skip:    # xi 1: the similarity of the repeated estimate with itself
+            wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
+            return _detached(self._last, t=batch.t, l=batch.l, xi=1.0, wall_ms=wall_ms)
+
         self.state_scorer = scorer
         best_neg_bic, best = -np.inf, None
         for done in range(0, cfg.episodes_per_batch, EPISODES_PER_UPDATE):
@@ -208,34 +206,28 @@ class OnlineEngine:
                 best_neg_bic, best = neg_bic, episode
         self.spec.commit_carry()
 
-        dags, fused_best = best
-        a_best = dags.fused
-        order_scores, _ = split_action(fused_best)
+        dags, episode_order = best
         # the incumbent goes first, so it stays on ties
-        episode_order = np.argsort(-order_scores, kind="stable")
         order, a_est = scorer.ordering_search(
             [self._incumbent, episode_order, self._rng_restart.permutation(self.d)])
         neg_bic = -scorer.score(a_est)
         if neg_bic >= best_neg_bic:
             best_neg_bic = neg_bic
         else:
-            order, a_est = episode_order.tolist(), a_best
+            order, a_est = episode_order.tolist(), dags.fused
         self._incumbent = order
         # a scorer that extends no base belongs to the state's first learning batch
-        xi = 0.0 if base is None else graph_similarity(self.best_dags.fused, a_best)
-        if xi > cfg.xi_threshold:
-            self.converged = True
+        xi = 0.0 if base is None else graph_similarity(self.best_dags.fused, dags.fused)
         self.best_dags = dags
         wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.timing else 0.0
-        self._last = EpisodeRecord(
-            t=batch.t, l=batch.l, a_est=a_est, best_reward=best_neg_bic, xi=xi,
-            wall_ms=wall_ms, converged=self.converged,
-        )
+        self._last = EpisodeRecord(t=batch.t, l=batch.l, a_est=a_est, best_reward=best_neg_bic,
+                                   xi=xi, wall_ms=wall_ms, converged=xi > cfg.xi_threshold)
         return _detached(self._last)
 
     def _update(self, x: np.ndarray, scorer: BatchScorer, k: int) -> tuple[float, tuple]:
         """k episodes and one train_step per agent; the best episode's -BIC and
-        (EpisodeDags, fused action).
+        (EpisodeDags, node ordering): its nodes by descending ordering score, the
+        first d entries of its fused action (graphs.action_to_dag).
 
         The update's tapes and samples die with this call, before the
         ordering search runs.
@@ -264,18 +256,12 @@ class OnlineEngine:
             r_spec = -bic
         i = int(np.argmin(bic))
         best = (EpisodeDags(a_fused[i].copy(), a_spec[i].copy(),
-                            None if a_inv is None else a_inv[i].copy()), fused[i].copy())
+                            None if a_inv is None else a_inv[i].copy()),
+                np.argsort(-fused[i, :self.d], kind="stable"))
         self.spec.train_step(prop_spec, r_spec)
         if self.dual:
             self.inv.train_step(prop_inv, r_inv)
         return -float(bic[i]), best
-
-    def _converged_record(self, batch, start: float) -> EpisodeRecord:
-        """Early-exit path: no episodes, no scoring, a copy of the last learning
-        record; xi is 1, the similarity of the estimate it repeats with itself."""
-        wall_ms = (time.perf_counter() - start) * 1000.0 if self.cfg.timing else 0.0
-        return _detached(self._last, t=batch.t, l=batch.l, xi=1.0, wall_ms=wall_ms,
-                         converged=True)
 
     def run(self, batches):
         """Process an iterable of batches, yielding one record per batch."""

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and require, the one check of
-every numeric setting: a number, never a bool, inside its interval, and an
-integer where the setting counts something.
+"""Exception types shared across the package, finite_numbers, the one test
+of a finite number, and require, the one check of every numeric setting: a
+number inside its interval, an integer where the setting counts something.
 
 Every StreamDagError means invalid input or configuration, and the CLI exits 1
 on any of them; an OSError or any other exception is a runtime failure (exit 2).
 """
 
+import math
 from numbers import Integral, Real
 
 
@@ -51,13 +52,25 @@ class GenerationError(StreamDagError):
     """Synthetic generation could not satisfy its constraints."""
 
 
+def finite_numbers(values) -> bool:
+    """True iff every value is a number, never a bool, finite as a float: an
+    integer beyond float range is not, though it compares below inf."""
+    values = list(values)
+    try:
+        return (all(issubclass(kind, Real) and kind is not bool for kind in set(map(type, values)))
+                and all(map(math.isfinite, values)))
+    except OverflowError:
+        return False
+
+
 def require(name: str, value, interval: str, *, integer: bool = False):
     """ConfigError, naming the setting, unless value is a number inside
     interval, written like "[0, 1]", "(0, inf)" or "(0, inf]": a round
-    bracket excludes its end, and either end may be inf.  With integer set
-    the value must be a Python or numpy integer.  A bool is never a number."""
-    number = isinstance(value, Real) and not isinstance(value, bool)
-    if integer and not (number and isinstance(value, Integral)):
+    bracket excludes its end, and either end may be inf.  A number is finite
+    as a float (finite_numbers) or infinite, never a bool, and with integer
+    set it must be a Python or numpy integer."""
+    number = finite_numbers([value]) or value in (-math.inf, math.inf)
+    if integer and not (isinstance(value, Integral) and not isinstance(value, bool)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     if not (number and (lo <= value if interval[0] == "[" else lo < value)

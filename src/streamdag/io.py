@@ -15,20 +15,21 @@ Results are JSON Lines of per-batch estimates (EpisodeRecord), flushed per
 line so downstream consumers can follow a run in progress.
 
 Each document's fields are declared once, in one table per document
-(_ENTRY_FIELDS, _SIDECAR_FIELDS, _RECORD_FIELDS, _TRUTH_FIELDS) of field
+(_LINE_FIELDS, _SIDECAR_FIELDS, _RECORD_FIELDS, _TRUTH_FIELDS) of field
 kinds: a kind holds its test, the text naming what it wants, and its JSON
 form.  _object checks a document read against its table, and _json_form
-builds a stream entry or a results record from it.  Every JSON file goes
-through one codec: _json parses, read_json reads a document, _json_lines
-and _write_json_lines read and write JSON Lines.  The truth reader, and
-the results reader when asked, reject a graph with a directed cycle, found
-by _cyclic over all of a file's graphs as one stack.
+builds a stream line or a results record from it.  A number, x's cells
+included, is a JSON number finite as a float (errors.finite_numbers), never
+a string or a boolean.  Every JSON file goes through one codec: _json
+parses, read_json reads a document, _json_lines and _write_json_lines read
+and write JSON Lines.  The truth reader, and the results reader when asked,
+reject a graph with a directed cycle, found by _cyclic over all of a file's
+graphs as one stack.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, finite_numbers
 from .graphs import is_acyclic
 
 
@@ -88,6 +89,14 @@ def _is_adjacency(v, d: int | None = None) -> bool:
     return set(map(type, cells)) == {int} and set(cells) <= {0, 1}
 
 
+def _is_matrix(v) -> bool:
+    """True iff v is a non-empty list of equally long non-empty rows of
+    numbers, each finite as a float."""
+    return (isinstance(v, list) and len(v) > 0
+            and all(isinstance(row, list) and len(row) == len(v[0]) > 0 for row in v)
+            and finite_numbers(chain.from_iterable(v)))
+
+
 def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
     """Row-major nested lists of 0/1 ints, the JSON form of an adjacency."""
     return np.asarray(adj).astype(int).tolist()
@@ -97,14 +106,17 @@ def matrix_to_lists(adj: np.ndarray) -> list[list[int]]:
 _INDEX = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
           "an integer >= 0", int)
 _COUNT = (lambda v: _INDEX[0](v) and v >= 1, "an integer >= 1", int)
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-           "a finite number", float)
+_NUMBER = (lambda v: finite_numbers([v]), "a finite number", float)
 _BOOL = (lambda v: isinstance(v, bool), "a boolean", bool)
 _ADJACENCY = (_is_adjacency, "a square 0/1 matrix", matrix_to_lists)
+_MATRIX = (_is_matrix, "a non-empty rectangular matrix of finite numbers",
+           lambda x: np.asarray(x, dtype=float).tolist())
 # A batch's place in the stream: the StreamBatch fields on a JSONL line or a
 # CSV sidecar entry, where start and stop bound the batch's CSV rows.
 _ENTRY_FIELDS = {"t": _COUNT, "l": _COUNT, "transition": _BOOL}
 _SIDECAR_FIELDS = {**_ENTRY_FIELDS, "start": _INDEX, "stop": _INDEX}
+# A JSONL line: the entry and its rows.
+_LINE_FIELDS = {**_ENTRY_FIELDS, "x": _MATRIX}
 # Each EpisodeRecord field on a results line.
 _RECORD_FIELDS = {"t": _COUNT, "l": _COUNT, "a_est": _ADJACENCY, "best_reward": _NUMBER,
                   "xi": _NUMBER, "wall_ms": _NUMBER, "converged": _BOOL}
@@ -133,20 +145,8 @@ def _object(obj, kinds: dict, what: str, where: int | str | None = None) -> dict
 
 
 def _parse_batch(obj: dict, line_no: int) -> StreamBatch:
-    _object(obj, {**_ENTRY_FIELDS, "x": None}, "batch", line_no)
-    x = obj["x"]
-    if not isinstance(x, list) or not x or not all(isinstance(r, list) for r in x):
-        raise SchemaError("x must be a non-empty list of rows", line_no)
-    width = len(x[0])
-    if width < 1 or any(len(r) != width for r in x):
-        raise SchemaError("x rows must be non-empty and rectangular", line_no)
-    try:
-        mat = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("x entries must be numbers", line_no) from None
-    if not np.isfinite(mat).all():
-        raise SchemaError("x entries must be finite", line_no)
-    return StreamBatch(**{key: obj[key] for key in _ENTRY_FIELDS}, x=mat)
+    _object(obj, _LINE_FIELDS, "batch", line_no)
+    return StreamBatch(**{key: obj[key] for key in _LINE_FIELDS})
 
 
 @contextmanager
@@ -264,9 +264,7 @@ def write_stream(batches, path) -> int:
     sidecar <name>.meta.json, where read_stream looks by default; returns
     the number written."""
     if not _is_csv(path):
-        return _write_json_lines(({**_json_form(batch, _ENTRY_FIELDS),
-                                   "x": np.asarray(batch.x, dtype=float).tolist()}
-                                  for batch in batches), path)
+        return _write_json_lines((_json_form(batch, _LINE_FIELDS) for batch in batches), path)
     path = Path(path)
     meta = []
     with path.open("w") as fh:

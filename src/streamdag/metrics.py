@@ -168,21 +168,21 @@ def ranking_metrics(rank_list, true_roots, k_values) -> RankingReport:
 
 def final_records_per_state(results: list[dict]) -> dict[int, dict]:
     """Last record of each state in a results-file dict list."""
-    finals: dict[int, dict] = {}
-    for rec in results:
-        finals[int(rec["t"])] = rec
-    return finals
+    return {int(rec["t"]): rec for rec in results}
 
 
 def summarize_run(results: list[dict], truth: dict) -> dict:
     """Per-state reports (final estimate vs truth, and atb_ms: the mean
     wall_ms of the state's records, converged ones included) plus the
-    across-state average."""
+    across-state average; the results hold the truth's states and no other."""
     finals = final_records_per_state(results)
     states = range(1, int(truth["m"]) + 1)
     for t in states:
         if t not in finals:
             raise InsufficientDataError(f"results contain no records for state {t}")
+    if len(finals) > len(states):
+        raise DimensionMismatchError(f"results hold state {max(finals)}, but the truth has "
+                                     f"{len(states)} states")
     reports = _structure_reports([truth["adjacencies"][t - 1] for t in states],
                                  [finals[t]["a_est"] for t in states])
     for t, report in zip(states, reports):

@@ -337,6 +337,8 @@ _BAD_FIELDS = {
     "a_est-cell-2": ("a_est", [[0, 2, 0, 0]] + [[0] * 4] * 3, "a_est must be a square 0/1 matrix"),
     "wall_ms-fast": ("wall_ms", "fast", "wall_ms must be a finite number, got 'fast'"),
     "t-string": ("t", "1", "t must be an integer >= 1, got '1'"),
+    "best_reward-beyond-float-range": ("best_reward", 10**400,
+                                       "best_reward must be a finite number, got 1000"),
     "a_est-2-cycle": ("a_est", [[0, 1, 0, 0], [1, 0, 0, 0]] + [[0] * 4] * 2,
                       "a_est has a directed cycle"),
 }
@@ -359,6 +361,50 @@ def test_malformed_result_field_exits_1(tmp_path, capsys, command, field, value,
                     "--rows", "30:60"]}[command]
     assert main([*argv, "--results", str(results)]) == 1
     assert f"line 4: result record {fragment}" in capsys.readouterr().err
+
+
+def test_stream_cell_beyond_float_range_or_not_a_number_exits_1(tmp_path, capsys):
+    """A JSON integer too large for a float is invalid input, as 1e400 is;
+    so is a string or a boolean cell."""
+    for cell in ("1" + "0" * 400, "1e400", '"0.5"', "true"):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"t": 1, "l": 1, "transition": false, "x": [[%s, 1.0], [2.0, 3.0]]}\n'
+                          % cell)
+        assert main(["run", "--stream", str(stream), "--episodes", "2",
+                     "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 1: batch x must be a non-empty rectangular matrix of finite numbers")
+
+
+@pytest.mark.parametrize("command,key", [("run", "lr"), ("synth", "noise_scale")])
+def test_config_setting_beyond_float_range_exits_1(tmp_path, capsys, command, key):
+    """An integer past float range lies inside (0, inf) as Python compares
+    it, but no float holds it."""
+    if command == "synth":
+        args = ["synth", "--d", "4", "--out", str(tmp_path / "s.jsonl"),
+                "--truth", str(tmp_path / "t.json")]
+    else:
+        assert main(_synth_args(tmp_path)) == 0
+        args = ["run", "--stream", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 10**400}))
+    capsys.readouterr()
+    assert main([*args, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be in ")
+
+
+def test_eval_of_a_state_the_truth_lacks_exits_1(tmp_path, capsys):
+    """Results of a 3-state run do not rate against a 2-state truth."""
+    assert main(_synth_args(tmp_path, m=3)) == 0
+    assert main(["run", "--stream", str(tmp_path / "s.jsonl"), "--episodes", "2",
+                 "--no-timing", "--out", str(tmp_path / "r.jsonl")]) == 0
+    (tmp_path / "two").mkdir()
+    assert main(_synth_args(tmp_path / "two")) == 0
+    capsys.readouterr()
+    assert main(["eval", "--results", str(tmp_path / "r.jsonl"),
+                 "--truth", str(tmp_path / "two" / "t.json")]) == 1
+    assert capsys.readouterr().err == ("error: results hold state 3, but the truth has 2 "
+                                       "states\n")
 
 
 def test_malformed_truth_field_exits_1(tmp_path, capsys):

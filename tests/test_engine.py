@@ -396,6 +396,34 @@ def test_convergence_early_exit_freezes_estimate():
     assert rec.xi == 0.0 and not rec.converged
 
 
+def test_a_batch_skips_iff_its_states_last_learning_record_converged():
+    """On a 3-state stream that skips in a non-final state: a learning
+    record's converged is xi > 0.8, it follows no converged record of its
+    state, and it opens every state; a skipped record (xi 1) repeats the
+    state's last learning record, which converged."""
+    batches, _ = generate(SynthConfig(d=6, m=3, e=1.0, mechanism="LG", er_expected_degree=2.0,
+                                      n_per_state=200, batch_size=40, seed=2))
+    eng = OnlineEngine(d=6, cfg=OnlineConfig(episodes_per_batch=16, xi_threshold=0.8, seed=2,
+                                             timing=False))
+    last = None                                       # the state's last learning record
+    skipped_states = set()
+    for batch in batches:
+        rec = eng.process_batch(batch)
+        if last is None or last.t != rec.t:
+            assert rec.xi == 0.0 and not rec.converged
+        elif rec.xi == 1.0:
+            assert last.converged and rec.converged
+            assert np.array_equal(rec.a_est, last.a_est)
+            assert rec.best_reward == last.best_reward
+            skipped_states.add(rec.t)
+            continue
+        else:
+            assert not last.converged
+        assert rec.converged == (rec.xi > 0.8)
+        last = rec
+    assert skipped_states & {1, 2} and 3 in skipped_states
+
+
 def test_records_share_no_array_with_the_engine():
     """Overwriting every array of every record an engine hands out, on the
     learning and on the converged path, leaves its later records unchanged."""

@@ -76,6 +76,18 @@ def test_every_numeric_setting_rejects_a_non_number_or_a_value_outside(
     assert str(info.value) == f"{field} must be {want}, got {value!r}"
 
 
+@pytest.mark.parametrize("make,field,interval", [
+    pytest.param(make, field, interval, id=f"{make.__name__[1:]}.{field}")
+    for make, field, interval, _, _ in SETTINGS if interval.endswith(("inf)", "inf]"))
+])
+def test_every_setting_open_to_inf_rejects_an_integer_beyond_float_range(make, field, interval):
+    """Python orders 10**400 below inf, but no float holds it: invalid input,
+    as inf is where the interval excludes it."""
+    with pytest.raises(ConfigError) as info:
+        make(**{field: 10**400})
+    assert str(info.value) == f"{field} must be in {interval}, got {10**400!r}"
+
+
 @pytest.mark.parametrize("make,field,value", [
     (_online, "beta", 0), (_online, "beta", 1.0), (_online, "gamma", 0.0),
     (_online, "gamma", 1), (_online, "xi_threshold", 1.0), (_online, "seed", 0),

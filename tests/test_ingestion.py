@@ -22,7 +22,7 @@ def _snapshot(eng):
     return {
         "t": eng.t,
         "state_scorer": id(eng.state_scorer),
-        "converged": eng.converged,
+        "last": eng._last,     # the record that early exit reads; replaced, never mutated
         "carry": [c.copy() for c in carry] + [eng.spec._pending_carry is None],
         "prev_summary": eng.prev_summary.copy(),
         "params": [(a.params.data.copy(), a.params.m.copy(), a.params.v.copy(),
@@ -31,8 +31,9 @@ def _snapshot(eng):
 
 
 def _assert_unchanged(before, after):
-    for key in ("t", "state_scorer", "converged"):
+    for key in ("t", "state_scorer"):
         assert before[key] == after[key], key
+    assert before["last"] is after["last"]
     for a, b in zip(before["carry"], after["carry"]):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(before["prev_summary"], after["prev_summary"])
@@ -79,7 +80,7 @@ def test_overflowing_batch_on_the_early_exit_path_is_rejected(value, message):
     eng = OnlineEngine(3, OnlineConfig(episodes_per_batch=4, seed=0, xi_threshold=0.0))
     for l in (1, 2):
         eng.process_batch(StreamBatch(t=1, l=l, transition=False, x=rng.standard_normal((30, 3))))
-    assert eng.converged
+    assert eng._last.converged
     x = rng.standard_normal((30, 3))
     x[0, 1] = value
     before = _snapshot(eng)

@@ -164,10 +164,19 @@ def test_blank_lines_are_skipped():
     ('{"t": 1, "l": "a", "transition": false, "x": [[1.0]]}', "l must be"),
     ('{"t": true, "l": true, "transition": false, "x": [[1.0, 2.0]]}', "t must be"),
     ('{"t": 1, "l": 1, "transition": 1, "x": [[1.0]]}', "transition must be"),
-    ('{"t": 1, "l": 1, "transition": false, "x": []}', "non-empty list"),
+    ('{"t": 1, "l": 1, "transition": false, "x": []}', "non-empty rectangular matrix"),
     ('{"t": 1, "l": 1, "transition": false, "x": [[1.0], [1.0, 2.0]]}', "rectangular"),
     ('{"t": 1, "l": 1, "transition": false, "x": [["a"]]}', "numbers"),
     ('{"t": 1, "l": 1, "transition": false, "x": [[NaN]]}', "finite"),
+    pytest.param('{"t": 1, "l": 1, "transition": false, "x": [["0.5", "1"], ["2", "3"]]}',
+                 "x must be a non-empty rectangular matrix of finite numbers, got [['0.5', '1']",
+                 id="x-string-cells"),
+    pytest.param('{"t": 1, "l": 1, "transition": false, "x": [[true, 1.0], [false, 2.0]]}',
+                 "x must be a non-empty rectangular matrix of finite numbers, got [[True, 1.0]",
+                 id="x-bool-cell"),
+    pytest.param('{"t": 1, "l": 1, "transition": false, "x": [[1%s, 1.0]]}' % ("0" * 400),
+                 "x must be a non-empty rectangular matrix of finite numbers",
+                 id="x-int-beyond-float-range"),
 ])
 def test_schema_errors_carry_line_numbers(line, fragment):
     good = '{"t": 1, "l": 1, "transition": false, "x": [[1.0]]}'

@@ -239,3 +239,11 @@ def test_summarize_run_perfect_results():
     assert summary["average"]["atb_ms"] == 4.0
     with pytest.raises(InsufficientDataError):
         summarize_run([r for r in results if r["t"] == 1], truth)
+
+
+def test_summarize_run_rejects_a_state_the_truth_lacks():
+    truth = {"m": 2, "adjacencies": [CHAIN3, CHAIN3]}
+    results = [{"t": t, "l": 1, "a_est": CHAIN3.tolist(), "wall_ms": 4.0} for t in (1, 2, 3)]
+    with pytest.raises(DimensionMismatchError) as err:
+        summarize_run(results, truth)
+    assert str(err.value) == "results hold state 3, but the truth has 2 states"
